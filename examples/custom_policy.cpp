@@ -82,9 +82,11 @@ int main() {
   std::printf("bare policy: %s\n\n", bare.narrative.c_str());
 
   // Print the emitted solver script for the strict check - the artifact a
-  // user could edit and re-run through the textual pipeline.
+  // user could edit and re-run through the Yices-style frontend.
   std::printf("emitted Yices script (strict check):\n%s\n",
-              bare.checks.front().yices_script.c_str());
+              fsr::SafetyAnalyzer::emit_yices_script(
+                  regional->symbolic(), fsr::MonotonicityMode::strict)
+                  .c_str());
 
   const auto safe = fsr::algebra::lexical_product(
       regional, fsr::algebra::shortest_hop_count());

@@ -81,8 +81,16 @@ class Parser {
   Value parse_value() {
     skip_whitespace();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == k_max_depth) {
+        fail("nesting deeper than " + std::to_string(k_max_depth) +
+             " levels");
+      }
+      ++depth_;
+      Value value = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return value;
+    }
     if (c == '"') return Value::make_string(parse_string());
     if (c == 't') {
       if (!consume_literal("true")) fail("bad literal");
@@ -264,6 +272,7 @@ class Parser {
   }
 
   const std::string& text_;
+  std::size_t depth_ = 0;  // open arrays/objects around the cursor
   std::size_t at_ = 0;
 };
 

@@ -4,10 +4,11 @@
 // Scope: full JSON syntax (objects, arrays, strings with escapes, numbers,
 // booleans, null) with object member ORDER PRESERVED; numbers are held as
 // doubles plus the exact integer when the literal is integral, which is
-// all the wire layer needs (ids, seeds, small budgets). This is a reader
-// for trusted-operator input, not a streaming parser: inputs are single
-// request lines, and any syntax error throws fsr::InvalidArgument with a
-// byte offset so the CLI can report the offending line precisely.
+// all the wire layer needs (ids, seeds, small budgets). This is not a
+// streaming parser: inputs are single request lines, and any syntax error
+// throws fsr::InvalidArgument with a byte offset so the CLI can report the
+// offending line precisely. Arrays and objects nest at most k_max_depth
+// levels deep, so no line, however hostile, can exhaust the stack.
 //
 // Rendering stays out of scope on purpose: responses are rendered by
 // purpose-built writers (wire.cpp) because byte-stable output — field
@@ -16,6 +17,7 @@
 #ifndef FSR_API_JSON_H
 #define FSR_API_JSON_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -65,9 +67,14 @@ class Value {
   std::vector<std::pair<std::string, Value>> members_;
 };
 
+/// Deepest array/object nesting parse() accepts. Wire requests nest a few
+/// levels; the bound only exists to keep the recursive descent off the
+/// end of the stack.
+inline constexpr std::size_t k_max_depth = 128;
+
 /// Parses exactly one JSON value from `text` (surrounding whitespace
 /// allowed, trailing garbage rejected). Throws fsr::InvalidArgument on any
-/// syntax error.
+/// syntax error and on nesting deeper than k_max_depth.
 Value parse(const std::string& text);
 
 }  // namespace fsr::api::json

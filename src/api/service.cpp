@@ -229,14 +229,13 @@ Response AnalysisService::execute(std::uint64_t id, const Request& request,
 
     if (const auto* req = std::get_if<AnalyzeSafetyRequest>(&request)) {
       // Safety analysis stays on the stateless analyzer: its reports embed
-      // solver-path artifacts (scripts, witness models, textual-pipeline
-      // cores), so serving them from a warm session could legitimately
-      // pick a different minimal core — byte-stability wins over warmth.
-      const SafetyAnalyzer analyzer(options_.analyzer);
+      // a fresh context's normalised witness model and minimal core, and a
+      // warm incremental session could legitimately pick a different
+      // witness or core — byte-stability wins over warmth.
       const algebra::AlgebraPtr algebra =
           req->algebra != nullptr ? req->algebra
                                   : spp::algebra_from_spp(*req->spp);
-      response.safety = analyzer.analyze(*algebra);
+      response.safety = SafetyAnalyzer().analyze(*algebra);
     } else if (const auto* req = std::get_if<GroundTruthRequest>(&request)) {
       const groundtruth::Mode mode = req->mode.value_or(options_.ground_truth);
       const groundtruth::Options& truth_options =

@@ -76,7 +76,6 @@ struct ServiceOptions {
   /// Warm solver-session entries kept per worker (LRU beyond that);
   /// 0 disables cross-request session reuse entirely.
   std::size_t session_cache_capacity = 8;
-  SafetyAnalyzer::Options analyzer;
   repair::RepairOptions repair;
   /// Default ground-truth oracle for GroundTruthRequest (per-request
   /// override via GroundTruthRequest::mode) and its budgets.

@@ -1,5 +1,6 @@
 #include "api/wire.h"
 
+#include <limits>
 #include <utility>
 
 #include "algebra/standard_policies.h"
@@ -64,7 +65,14 @@ spp::SppInstance random_spp(const json::Value& value) {
   campaign::RandomSppSweep sweep;
   const auto u64_field = [&](const char* key, std::int32_t& out) {
     if (const json::Value* field = value.find(key)) {
-      out = static_cast<std::int32_t>(field->as_u64(key));
+      constexpr std::int32_t k_max = std::numeric_limits<std::int32_t>::max();
+      const std::uint64_t raw = field->as_u64(key);
+      if (raw > static_cast<std::uint64_t>(k_max)) {
+        throw InvalidArgument("random." + std::string(key) +
+                              " must be at most " + std::to_string(k_max) +
+                              ", not " + std::to_string(raw));
+      }
+      out = static_cast<std::int32_t>(raw);
     }
   };
   u64_field("min_nodes", sweep.min_nodes);

@@ -13,6 +13,7 @@
 
 #include "obs/metrics.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace fsr::campaign {
 namespace {
@@ -165,7 +166,7 @@ std::string scenario_cache_key(const Scenario& scenario, bool attempt_repair,
 }
 
 std::string content_digest(const std::string& canonical) {
-  std::uint64_t hash = fnv1a64(canonical);
+  std::uint64_t hash = util::fnv1a64(canonical);
   static const char* digits = "0123456789abcdef";
   std::string out(16, '0');
   for (int i = 15; i >= 0; --i) {
@@ -185,15 +186,17 @@ std::string content_digest(const std::string& canonical) {
 
 namespace {
 
-// v4: the simulation payload gained sim.suppression and sim.cutoff (the
-// suppression-policy + budget-cutoff PR), and simulation cache keys gained
-// the sim-config marker — the version bump retires every v3 sim record,
-// whose keys could alias across sim configurations. v3: outcomes gained
-// the simulation payload (has_sim + sim.* fields) and the "simulation"
-// kind tag; v2 lacked both. v2: RepairSummary gained oracle_budget (the
-// incremental-oracle PR). Records with an older header fail the check and
-// degrade to misses.
-constexpr const char* k_record_header = "fsr-outcome v4";
+// v5: safety checks dropped check.script, the per-check Yices script that
+// no response or report renders (SafetyAnalyzer::emit_yices_script renders
+// it on demand). v4: the simulation payload gained sim.suppression and
+// sim.cutoff (the suppression-policy + budget-cutoff PR), and simulation
+// cache keys gained the sim-config marker — the version bump retires every
+// v3 sim record, whose keys could alias across sim configurations. v3:
+// outcomes gained the simulation payload (has_sim + sim.* fields) and the
+// "simulation" kind tag; v2 lacked both. v2: RepairSummary gained
+// oracle_budget (the incremental-oracle PR). Records with an older header
+// fail the check and degrade to misses.
+constexpr const char* k_record_header = "fsr-outcome v5";
 
 std::string escape_value(const std::string& text) {
   std::string out;
@@ -326,7 +329,6 @@ void write_safety(RecordWriter& writer, const SafetyReport& safety) {
     writer.field("check.pref", check.preference_constraint_count);
     writer.field("check.mono", check.monotonicity_constraint_count);
     writer.field("check.solve_ms", check.solve_time_ms);
-    writer.field("check.script", check.yices_script);
     writer.field("check.model", check.model.values.size());
     for (const auto& [name, value] : check.model.values) {
       writer.field("model.name", name);
@@ -364,7 +366,6 @@ bool read_safety(RecordReader& reader, SafetyReport& safety) {
     check.monotonicity_constraint_count =
         static_cast<std::size_t>(reader.u64("check.mono"));
     check.solve_time_ms = reader.real("check.solve_ms");
-    check.yices_script = reader.text("check.script");
     const std::uint64_t model_entries = reader.u64("check.model");
     if (!reader.ok() || model_entries > 1u << 20) return false;
     for (std::uint64_t i = 0; i < model_entries; ++i) {
@@ -615,10 +616,14 @@ void ResultCache::load_directory() {
     std::ostringstream text;
     text << in.rdbuf();
     const std::string record = text.str();
-    // The first line after the header names the full cache key, so digest
-    // collisions (two keys, one file name) load as the stored key only.
+    // A record under another format version is a miss. The first line
+    // after the header names the full cache key, so digest collisions (two
+    // keys, one file name) load as the stored key only.
     const std::size_t header_end = record.find('\n');
-    if (header_end == std::string::npos) continue;
+    if (header_end == std::string::npos ||
+        record.compare(0, header_end, k_record_header) != 0) {
+      continue;
+    }
     const std::string body = record.substr(header_end + 1);
     const std::size_t key_end = body.find('\n');
     if (key_end == std::string::npos ||

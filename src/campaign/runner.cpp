@@ -12,6 +12,7 @@
 #include "obs/trace.h"
 #include "spp/translate.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace fsr::campaign {
 namespace {
@@ -22,7 +23,6 @@ namespace {
 api::ServiceOptions service_options(const CampaignOptions& options) {
   api::ServiceOptions service;
   service.threads = options.threads;
-  service.analyzer = options.analyzer;
   service.repair = options.repair;
   service.emulation = options.emulation;
   service.sim = options.sim;
@@ -209,7 +209,7 @@ CampaignReport CampaignRunner::run_scenarios(std::vector<Scenario> scenarios) {
         outcome->safety->verdict == SafetyVerdict::not_provably_safe) {
       api::RepairRequest request;
       request.spp = scenario.spp;
-      request.seed = fnv1a64(canonical_spp(*scenario.spp));
+      request.seed = util::fnv1a64(canonical_spp(*scenario.spp));
       followups.emplace_back(index, service.submit(std::move(request)));
     }
     outcomes[index] = std::move(outcome);

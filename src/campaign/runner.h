@@ -45,7 +45,6 @@ struct CampaignOptions {
   /// least recently accessed records on overflow (fsr_campaign
   /// --cache-max-bytes; see ResultCache).
   std::uint64_t cache_max_bytes = 0;
-  SafetyAnalyzer::Options analyzer;
   /// Base emulation options; each scenario overrides `.seed` with its own.
   EmulationOptions emulation;
   /// Base event-driven simulation options; each simulation scenario

@@ -53,12 +53,10 @@ void validate_scenario(const Scenario& scenario) {
   }
 }
 
-std::uint64_t fnv1a64(const std::string& text) { return util::fnv1a64(text); }
-
 std::uint64_t derive_scenario_seed(std::uint64_t campaign_seed,
                                    const std::string& id,
                                    std::uint64_t ordinal) {
-  return splitmix64(campaign_seed ^ splitmix64(fnv1a64(id) + ordinal));
+  return splitmix64(campaign_seed ^ splitmix64(util::fnv1a64(id) + ordinal));
 }
 
 }  // namespace fsr::campaign

@@ -77,10 +77,6 @@ struct ScenarioOutcome {
 /// fast in the runner's scheduling phase instead of crashing a worker).
 void validate_scenario(const Scenario& scenario);
 
-/// 64-bit FNV-1a — the subsystem's one content-hash primitive, shared by
-/// seed derivation and cache digests.
-std::uint64_t fnv1a64(const std::string& text);
-
 /// Derives the seed of scenario `ordinal` named `id` within a campaign:
 /// a splitmix64 finalizer over the campaign seed and an FNV-1a hash of the
 /// id. Depends only on (campaign_seed, id, ordinal) — never on thread

@@ -50,43 +50,68 @@ const char* relation_spelling(algebra::PrefRel rel) {
   return "<";
 }
 
+smt::Term relation_term(algebra::PrefRel rel, const std::string& lhs,
+                        const std::string& rhs) {
+  smt::Term a = smt::Term::variable(lhs);
+  smt::Term b = smt::Term::variable(rhs);
+  switch (rel) {
+    case algebra::PrefRel::strictly_better:
+      return smt::Term::lt(std::move(a), std::move(b));
+    case algebra::PrefRel::equal:
+      return smt::Term::eq(std::move(a), std::move(b));
+    case algebra::PrefRel::better_or_equal:
+      return smt::Term::le(std::move(a), std::move(b));
+  }
+  return smt::Term::lt(std::move(a), std::move(b));
+}
+
+namespace {
+
+void append(Encoding& enc, ConstraintProvenance::Kind kind,
+            const std::string& description, smt::Term term,
+            RelationShape shape) {
+  enc.provenance.push_back(
+      ConstraintProvenance{kind, description, term.to_string()});
+  enc.terms.push_back(std::move(term));
+  enc.shapes.push_back(std::move(shape));
+}
+
+}  // namespace
+
 Encoding encode(const algebra::SymbolicSpec& spec, MonotonicityMode mode,
                 const SymbolTable& symbols) {
   Encoding enc;
-  const char* mono_rel = mode == MonotonicityMode::strict ? "<" : "<=";
+  const algebra::PrefRel mono_rel = mode == MonotonicityMode::strict
+                                        ? algebra::PrefRel::strictly_better
+                                        : algebra::PrefRel::better_or_equal;
 
   // Step 2: one constraint per declared preference.
   for (const auto& pref : spec.preferences) {
-    const std::string line = "(" + std::string(relation_spelling(pref.rel)) +
-                             " " + symbols.symbol(pref.lhs) + " " +
-                             symbols.symbol(pref.rhs) + ")";
-    enc.assert_lines.push_back(line);
-    enc.provenance.push_back(
-        ConstraintProvenance{ConstraintProvenance::Kind::preference,
-                             pref.provenance, line});
-    enc.shapes.push_back(
-        RelationShape{relation_spelling(pref.rel), pref.lhs, pref.rhs});
+    append(enc, ConstraintProvenance::Kind::preference, pref.provenance,
+           relation_term(pref.rel, symbols.symbol(pref.lhs),
+                         symbols.symbol(pref.rhs)),
+           RelationShape{relation_spelling(pref.rel), pref.lhs, pref.rhs});
   }
   // Step 3: one (strict-)monotonicity constraint per combined (+) entry.
   for (const auto& ext : spec.extensions) {
-    const std::string line = "(" + std::string(mono_rel) + " " +
-                             symbols.symbol(ext.from_sig) + " " +
-                             symbols.symbol(ext.to_sig) + ")";
-    enc.assert_lines.push_back(line);
-    enc.provenance.push_back(
-        ConstraintProvenance{ConstraintProvenance::Kind::monotonicity,
-                             ext.provenance, line});
-    enc.shapes.push_back(RelationShape{mono_rel, ext.from_sig, ext.to_sig});
+    append(enc, ConstraintProvenance::Kind::monotonicity, ext.provenance,
+           relation_term(mono_rel, symbols.symbol(ext.from_sig),
+                         symbols.symbol(ext.to_sig)),
+           RelationShape{relation_spelling(mono_rel), ext.from_sig,
+                         ext.to_sig});
   }
-  // Closed-form algebras: universally quantified templates.
+  // Closed-form algebras: universally quantified templates
+  // (forall (s::Sig) (< s (+ s delta))).
   for (const auto& tmpl : spec.additive_templates) {
-    const std::string line = "(forall (s::Sig) (" + std::string(mono_rel) +
-                             " s (+ s " + std::to_string(tmpl.delta) + ")))";
-    enc.assert_lines.push_back(line);
-    enc.provenance.push_back(
-        ConstraintProvenance{ConstraintProvenance::Kind::monotonicity,
-                             tmpl.provenance, line});
-    enc.shapes.push_back(RelationShape{"forall", line, ""});
+    const smt::Term s = smt::Term::variable("s");
+    smt::Term body = smt::Term::add(s, smt::Term::constant(tmpl.delta));
+    smt::Term term = smt::Term::forall_positive(
+        "s", mode == MonotonicityMode::strict
+                 ? smt::Term::lt(s, std::move(body))
+                 : smt::Term::le(s, std::move(body)));
+    std::string line = term.to_string();
+    append(enc, ConstraintProvenance::Kind::monotonicity, tmpl.provenance,
+           std::move(term), RelationShape{"forall", std::move(line), ""});
   }
   return enc;
 }
@@ -105,7 +130,7 @@ std::string render_script(const algebra::SymbolicSpec& spec,
   }
   bool wrote_pref_banner = false;
   bool wrote_mono_banner = false;
-  for (std::size_t i = 0; i < enc.assert_lines.size(); ++i) {
+  for (std::size_t i = 0; i < enc.provenance.size(); ++i) {
     if (enc.provenance[i].kind == ConstraintProvenance::Kind::preference &&
         !wrote_pref_banner) {
       script += ";; route preference constraints\n";
@@ -118,7 +143,7 @@ std::string render_script(const algebra::SymbolicSpec& spec,
                      : ";; monotonicity constraints\n");
       wrote_mono_banner = true;
     }
-    script += "(assert " + enc.assert_lines[i] + ")\n";
+    script += "(assert " + enc.provenance[i].constraint + ")\n";
   }
   script += "(check)\n";
   return script;

@@ -1,6 +1,8 @@
 // The Section IV-B constraint encoding, shared by the per-call
-// SafetyAnalyzer pipelines and the IncrementalSafetySession the repair
-// engine drives.
+// SafetyAnalyzer check and the IncrementalSafetySession the repair engine
+// drives. Both assert the encoding's typed terms straight into an
+// smt::Context; the Yices-style script (render_script) is only a readable
+// artifact of the same terms, rendered on demand.
 //
 // Encoding order is part of the toolkit's contract: preferences first, then
 // combined-extension (monotonicity) entries, then additive templates —
@@ -15,6 +17,7 @@
 
 #include "algebra/algebra.h"
 #include "fsr/safety_analyzer.h"
+#include "smt/term.h"
 
 namespace fsr::encoding {
 
@@ -49,14 +52,19 @@ struct RelationShape {
 };
 
 /// The constraints of one encoding, in assertion order (the order defines
-/// the AssertionId <-> provenance correspondence for both pipelines).
+/// the AssertionId <-> provenance correspondence). provenance[i].constraint
+/// is terms[i].to_string(), e.g. "(< a b)".
 struct Encoding {
   std::vector<ConstraintProvenance> provenance;
-  std::vector<std::string> assert_lines;  // "(< a b)" over sanitized symbols
-  std::vector<RelationShape> shapes;      // parallel, over original names
+  std::vector<smt::Term> terms;       // over sanitized symbols
+  std::vector<RelationShape> shapes;  // parallel, over original names
 };
 
 const char* relation_spelling(algebra::PrefRel rel);
+
+/// The atom `lhs rel rhs` over solver symbols: (< a b), (= a b), (<= a b).
+smt::Term relation_term(algebra::PrefRel rel, const std::string& lhs,
+                        const std::string& rhs);
 
 Encoding encode(const algebra::SymbolicSpec& spec, MonotonicityMode mode,
                 const SymbolTable& symbols);

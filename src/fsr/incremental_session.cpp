@@ -4,29 +4,9 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "smt/sexpr.h"
-#include "smt/yices_frontend.h"
 #include "util/error.h"
 
 namespace fsr {
-namespace {
-
-smt::Term extra_term(const encoding::SymbolTable& symbols,
-                     const IncrementalSafetySession::Extra& extra) {
-  const smt::Term lhs = smt::Term::variable(symbols.symbol(extra.lhs));
-  const smt::Term rhs = smt::Term::variable(symbols.symbol(extra.rhs));
-  switch (extra.rel) {
-    case algebra::PrefRel::strictly_better:
-      return smt::Term::lt(lhs, rhs);
-    case algebra::PrefRel::equal:
-      return smt::Term::eq(lhs, rhs);
-    case algebra::PrefRel::better_or_equal:
-      return smt::Term::le(lhs, rhs);
-  }
-  return smt::Term::lt(lhs, rhs);
-}
-
-}  // namespace
 
 IncrementalSafetySession::IncrementalSafetySession(
     const algebra::SymbolicSpec& spec, MonotonicityMode mode, Options options)
@@ -38,12 +18,12 @@ IncrementalSafetySession::IncrementalSafetySession(
   }
   // Assert in encoding order on a fresh context, so ids_[i] == i and core
   // ids map straight back to encoding indices (same invariant the
-  // SafetyAnalyzer's direct pipeline relies on).
-  ids_.reserve(encoding_.assert_lines.size());
-  for (const std::string& line : encoding_.assert_lines) {
-    ids_.push_back(context_.assert_term(
-        smt::parse_yices_term(smt::parse_sexpr(line)), line));
+  // SafetyAnalyzer's check relies on).
+  ids_.reserve(encoding_.terms.size());
+  for (const smt::Term& term : encoding_.terms) {
+    ids_.push_back(context_.assert_term(term));
   }
+  encoding_.terms = {};  // the context keeps them, lowered
   variable_.assign(ids_.size(), 0);
 }
 
@@ -110,8 +90,9 @@ IncrementalSafetySession::Result IncrementalSafetySession::check(
   try {
     for (const Extra& extra : extras) {
       extra_ids.push_back(context_.assert_term(
-          extra_term(symbols_, extra),
-          extra.label.empty() ? std::string{} : extra.label));
+          encoding::relation_term(extra.rel, symbols_.symbol(extra.lhs),
+                                  symbols_.symbol(extra.rhs)),
+          extra.label));
     }
     if (options_.incremental) {
       raw = context_.check(kept_ids, options_.extract_models);

@@ -1,9 +1,9 @@
 // Automated safety analysis (paper Section IV).
 //
 // Given a routing algebra, the analyzer encodes its symbolic constraints
-// as integer comparisons (the three-step recipe of Section IV-B), renders
-// them as a Yices-style script, runs the solver, and maps the outcome back
-// to the policy level:
+// as integer comparisons (the three-step recipe of Section IV-B), asserts
+// them as typed terms into the solver (smt::Context, which stands in for
+// Yices), and maps the outcome back to the policy level:
 //
 //   * sat   -> the algebra is strictly monotone; by Sobrinho's theorem the
 //              path-vector protocol implementing it converges -> SAFE,
@@ -14,6 +14,11 @@
 // Lexical products follow the composition rule of Section IV-B: the
 // product is safe if some factor is strictly monotone and every factor
 // before it is (at least) monotone.
+//
+// The Yices-style script of the paper's Figure 1 is a readable artifact of
+// the same encoding, rendered only on demand by emit_yices_script; the
+// test suite runs it through the Yices-style frontend in src/smt to prove
+// it means what the analyzer solved.
 //
 // Strict monotonicity is sufficient, not necessary: a "not provably safe"
 // verdict may be a false positive (the paper's own caveat), which is why
@@ -55,7 +60,6 @@ struct MonotonicityReport {
   std::size_t preference_constraint_count = 0;
   std::size_t monotonicity_constraint_count = 0;
   double solve_time_ms = 0.0;
-  std::string yices_script;  // the emitted textual artifact
 };
 
 /// Result of a full safety analysis (possibly across product factors).
@@ -73,35 +77,23 @@ struct SafetyReport {
   const std::vector<ConstraintProvenance>* failing_core() const;
 };
 
-/// Thread-compatibility: a SafetyAnalyzer holds no mutable state — analyze
-/// and check_monotonicity construct their solver session (smt::Context or
-/// smt::YicesFrontend, both single-thread objects) per call, and
-/// RoutingAlgebra implementations are immutable — so one analyzer instance
-/// MAY be shared by concurrent callers, and distinct instances are fully
-/// independent. The campaign runner still allocates one analyzer per
-/// worker to keep the contract explicit should Options ever grow state
-/// (audited 2026-07; see campaign/runner.cpp).
+/// Thread-compatibility: a SafetyAnalyzer holds no state — analyze and
+/// check_monotonicity construct their smt::Context (a single-thread
+/// object) per call, and RoutingAlgebra implementations are immutable — so
+/// one analyzer instance MAY be shared by concurrent callers.
 class SafetyAnalyzer {
  public:
-  struct Options {
-    /// Route the constraints through the textual Yices pipeline (emit ->
-    /// parse -> solve), exactly as the original toolkit drives Yices. When
-    /// false the solver API is called directly; both paths must agree (a
-    /// property the test suite checks).
-    bool via_textual_pipeline = true;
-  };
-
-  SafetyAnalyzer() = default;
-  explicit SafetyAnalyzer(Options options) : options_(options) {}
-
   /// Full analysis with lexical-product decomposition.
   SafetyReport analyze(const algebra::RoutingAlgebra& algebra) const;
 
-  /// Single monotonicity check of one (leaf) algebra.
+  /// Single monotonicity check of one (leaf) algebra. analyze() builds each
+  /// analysed algebra's spec once for both of its checks.
   MonotonicityReport check_monotonicity(const algebra::RoutingAlgebra& algebra,
                                         MonotonicityMode mode) const;
 
-  /// Renders the Section IV-B encoding of `spec` as a Yices-style script.
+  /// Renders the Section IV-B encoding of `spec` as a Yices-style script:
+  /// the paper artifact, for people to read, edit and re-run through the
+  /// Yices-style frontend in src/smt. No analysis path renders it.
   static std::string emit_yices_script(const algebra::SymbolicSpec& spec,
                                        MonotonicityMode mode);
 
@@ -113,9 +105,6 @@ class SafetyAnalyzer {
   static IncrementalSafetySession open_incremental(
       const algebra::RoutingAlgebra& algebra, MonotonicityMode mode,
       bool incremental = true);
-
- private:
-  Options options_;
 };
 
 }  // namespace fsr

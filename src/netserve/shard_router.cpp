@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/strings.h"
+
 namespace fsr::netserve {
 
 namespace {
@@ -16,17 +18,6 @@ std::uint64_t mix64(std::uint64_t x) noexcept {
 }
 
 }  // namespace
-
-std::uint64_t fingerprint_hash(std::string_view text) noexcept {
-  // FNV-1a 64-bit; fingerprints are short hex strings, so the simple
-  // byte-at-a-time loop is already sub-microsecond.
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
 
 ShardRouter::ShardRouter(std::size_t shards, std::size_t vnodes_per_shard)
     : shards_(shards == 0 ? 1 : shards) {
@@ -47,7 +38,7 @@ ShardRouter::ShardRouter(std::size_t shards, std::size_t vnodes_per_shard)
 }
 
 std::size_t ShardRouter::shard_of(std::string_view fingerprint) const noexcept {
-  const std::uint64_t key = fingerprint_hash(fingerprint);
+  const std::uint64_t key = util::fnv1a64(fingerprint);
   // First ring point at or clockwise of the key, wrapping at the top.
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), key,

@@ -59,10 +59,6 @@ class ShardRouter {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> ring_;
 };
 
-/// The 64-bit string hash the ring uses (FNV-1a); exposed so tests can
-/// reason about placement without re-implementing it.
-std::uint64_t fingerprint_hash(std::string_view text) noexcept;
-
 }  // namespace fsr::netserve
 
 #endif  // FSR_NETSERVE_SHARD_ROUTER_H

@@ -88,8 +88,8 @@ class Term {
            kind_ == TermKind::eq;
   }
 
-  /// Renders in the prefix syntax the Yices frontend understands, so a
-  /// term can be round-tripped through the textual pipeline.
+  /// Renders in the prefix syntax the Yices frontend understands, so an
+  /// emitted script re-runs to the same terms.
   std::string to_string() const;
 
  private:

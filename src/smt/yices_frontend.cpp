@@ -27,6 +27,91 @@ std::pair<std::string, std::string> split_binding(const std::string& atom) {
   return {atom.substr(0, pos), atom.substr(pos + 2)};
 }
 
+/// Parses one expression of the Yices term grammar (atoms, +, -, *, the
+/// relations, forall) into a solver term.
+Term parse_yices_term(const Sexpr& expr) {
+  if (expr.is_atom()) {
+    const std::string& spelling = expr.spelling();
+    if (is_integer_literal(spelling)) {
+      return Term::constant(std::stoll(spelling));
+    }
+    return Term::variable(spelling);
+  }
+
+  if (expr.size() == 0 || !expr.items().front().is_atom()) {
+    throw InvalidArgument("malformed term: " + expr.to_string());
+  }
+  const std::string& op = expr.items().front().spelling();
+
+  if (op == "forall") {
+    if (expr.size() != 3) {
+      throw InvalidArgument("forall expects binder and body: " +
+                            expr.to_string());
+    }
+    const Sexpr& binder = expr.items()[1];
+    if (!binder.is_list() || binder.size() != 1 ||
+        !binder.items().front().is_atom()) {
+      throw InvalidArgument(
+          "forall supports exactly one bound variable (name::type): " +
+          expr.to_string());
+    }
+    const auto [var, type] = split_binding(binder.items().front().spelling());
+    (void)type;  // the bound ranges over the positive integers in FSR's use
+    return Term::forall_positive(var, parse_yices_term(expr.items()[2]));
+  }
+
+  std::vector<Term> args;
+  for (std::size_t i = 1; i < expr.size(); ++i) {
+    args.push_back(parse_yices_term(expr.items()[i]));
+  }
+  const auto binary_only = [&](const char* what) {
+    if (args.size() != 2) {
+      throw InvalidArgument(std::string(what) +
+                            " expects two operands: " + expr.to_string());
+    }
+  };
+
+  if (op == "+") {
+    if (args.empty()) {
+      throw InvalidArgument("+ expects operands: " + expr.to_string());
+    }
+    Term acc = std::move(args.front());
+    for (std::size_t i = 1; i < args.size(); ++i) {
+      acc = Term::add(std::move(acc), std::move(args[i]));
+    }
+    return acc;
+  }
+  if (op == "-") {
+    binary_only("-");
+    return Term::sub(std::move(args[0]), std::move(args[1]));
+  }
+  if (op == "*") {
+    binary_only("*");
+    return Term::mul(std::move(args[0]), std::move(args[1]));
+  }
+  if (op == "<") {
+    binary_only("<");
+    return Term::lt(std::move(args[0]), std::move(args[1]));
+  }
+  if (op == "<=") {
+    binary_only("<=");
+    return Term::le(std::move(args[0]), std::move(args[1]));
+  }
+  if (op == ">") {
+    binary_only(">");
+    return Term::gt(std::move(args[0]), std::move(args[1]));
+  }
+  if (op == ">=") {
+    binary_only(">=");
+    return Term::ge(std::move(args[0]), std::move(args[1]));
+  }
+  if (op == "=") {
+    binary_only("=");
+    return Term::eq(std::move(args[0]), std::move(args[1]));
+  }
+  throw InvalidArgument("unknown operator '" + op + "' in " + expr.to_string());
+}
+
 }  // namespace
 
 const CheckOutcome& ScriptResult::single_check() const {
@@ -163,7 +248,7 @@ void YicesFrontend::execute_assert(const Sexpr& command) {
                           command.to_string());
   }
   const Sexpr& body = command.items()[1];
-  context_.assert_term(parse_term(body), body.to_string());
+  context_.assert_term(parse_yices_term(body), body.to_string());
 }
 
 void YicesFrontend::execute_check(ScriptResult& result) {
@@ -187,93 +272,6 @@ void YicesFrontend::execute_check(ScriptResult& result) {
     }
   }
   result.checks.push_back(std::move(outcome));
-}
-
-Term YicesFrontend::parse_term(const Sexpr& expr) const {
-  return parse_yices_term(expr);
-}
-
-Term parse_yices_term(const Sexpr& expr) {
-  if (expr.is_atom()) {
-    const std::string& spelling = expr.spelling();
-    if (is_integer_literal(spelling)) {
-      return Term::constant(std::stoll(spelling));
-    }
-    return Term::variable(spelling);
-  }
-
-  if (expr.size() == 0 || !expr.items().front().is_atom()) {
-    throw InvalidArgument("malformed term: " + expr.to_string());
-  }
-  const std::string& op = expr.items().front().spelling();
-
-  if (op == "forall") {
-    if (expr.size() != 3) {
-      throw InvalidArgument("forall expects binder and body: " +
-                            expr.to_string());
-    }
-    const Sexpr& binder = expr.items()[1];
-    if (!binder.is_list() || binder.size() != 1 ||
-        !binder.items().front().is_atom()) {
-      throw InvalidArgument(
-          "forall supports exactly one bound variable (name::type): " +
-          expr.to_string());
-    }
-    const auto [var, type] = split_binding(binder.items().front().spelling());
-    (void)type;  // the bound ranges over the positive integers in FSR's use
-    return Term::forall_positive(var, parse_yices_term(expr.items()[2]));
-  }
-
-  std::vector<Term> args;
-  for (std::size_t i = 1; i < expr.size(); ++i) {
-    args.push_back(parse_yices_term(expr.items()[i]));
-  }
-  const auto binary_only = [&](const char* what) {
-    if (args.size() != 2) {
-      throw InvalidArgument(std::string(what) +
-                            " expects two operands: " + expr.to_string());
-    }
-  };
-
-  if (op == "+") {
-    if (args.empty()) {
-      throw InvalidArgument("+ expects operands: " + expr.to_string());
-    }
-    Term acc = std::move(args.front());
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      acc = Term::add(std::move(acc), std::move(args[i]));
-    }
-    return acc;
-  }
-  if (op == "-") {
-    binary_only("-");
-    return Term::sub(std::move(args[0]), std::move(args[1]));
-  }
-  if (op == "*") {
-    binary_only("*");
-    return Term::mul(std::move(args[0]), std::move(args[1]));
-  }
-  if (op == "<") {
-    binary_only("<");
-    return Term::lt(std::move(args[0]), std::move(args[1]));
-  }
-  if (op == "<=") {
-    binary_only("<=");
-    return Term::le(std::move(args[0]), std::move(args[1]));
-  }
-  if (op == ">") {
-    binary_only(">");
-    return Term::gt(std::move(args[0]), std::move(args[1]));
-  }
-  if (op == ">=") {
-    binary_only(">=");
-    return Term::ge(std::move(args[0]), std::move(args[1]));
-  }
-  if (op == "=") {
-    binary_only("=");
-    return Term::eq(std::move(args[0]), std::move(args[1]));
-  }
-  throw InvalidArgument("unknown operator '" + op + "' in " + expr.to_string());
 }
 
 }  // namespace fsr::smt

@@ -7,10 +7,12 @@
 //   (assert (< C R)) (assert (< C P)) (assert (= R P))
 //   (check)
 //
-// This frontend executes such scripts against fsr::smt::Context, so the
-// toolkit's algebra -> text -> solver pipeline is exercised end to end, and
-// users can hand-write or post-edit constraint files exactly as they would
-// with the original tool.
+// This frontend executes such scripts against fsr::smt::Context. It is not
+// a solve path: the safety analyzer asserts typed terms directly. It
+// re-runs the script the analyzer emits (SafetyAnalyzer::emit_yices_script)
+// as a referee that the paper artifact means what the analyzer solved, and
+// lets users hand-write or post-edit constraint files exactly as they
+// would with the original tool.
 //
 // Supported commands: define-type (subtype over nat / nat / int), define,
 // assert, check, reset, echo. Yices housekeeping commands such as
@@ -29,11 +31,6 @@
 #include "smt/sexpr.h"
 
 namespace fsr::smt {
-
-/// Parses one expression of the Yices term grammar (atoms, +, -, *, the
-/// relations, forall) into a solver term. Shared by the frontend and by
-/// components that drive the Context directly from textual constraints.
-Term parse_yices_term(const Sexpr& expr);
 
 /// The observable result of one (check) command.
 struct CheckOutcome {
@@ -72,7 +69,6 @@ class YicesFrontend {
   void execute_define(const Sexpr& command);
   void execute_assert(const Sexpr& command);
   void execute_check(ScriptResult& result);
-  Term parse_term(const Sexpr& expr) const;
 
   Context context_;
   // Type name -> lower bound (nullopt = unbounded int).

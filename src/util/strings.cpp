@@ -87,7 +87,7 @@ std::string json_quoted(const std::string& text) {
   return out;
 }
 
-std::uint64_t fnv1a64(const std::string& text) {
+std::uint64_t fnv1a64(std::string_view text) noexcept {
   std::uint64_t hash = 0xcbf29ce484222325ull;
   for (const char c : text) {
     hash ^= static_cast<unsigned char>(c);

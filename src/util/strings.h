@@ -36,8 +36,8 @@ std::string json_escape(const std::string& text);
 std::string json_quoted(const std::string& text);
 
 /// 64-bit FNV-1a — the toolkit's one content-hash primitive (seed
-/// derivation, cache digests, repair trial seeds).
-std::uint64_t fnv1a64(const std::string& text);
+/// derivation, cache digests, repair trial seeds, shard-ring placement).
+std::uint64_t fnv1a64(std::string_view text) noexcept;
 
 }  // namespace fsr::util
 

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <set>
 
 #include "campaign/cache.h"
@@ -234,8 +236,16 @@ TEST(Cache, OutcomesRoundTripThroughSerialization) {
   std::size_t round_tripped = 0;
   for (ScenarioResult& result : report.results) {
     if (result.outcome == nullptr) continue;
-    const auto restored =
-        deserialize_outcome(serialize_outcome(*result.outcome));
+    // v5 records carry no per-check Yices script; the same body under the
+    // v4 header (which had one) is refused, not misread.
+    const std::string record = serialize_outcome(*result.outcome);
+    ASSERT_EQ(record.rfind("fsr-outcome v5\n", 0), 0u) << result.id;
+    EXPECT_EQ(record.find("check.script"), std::string::npos) << result.id;
+    EXPECT_EQ(deserialize_outcome("fsr-outcome v4" +
+                                  record.substr(record.find('\n'))),
+              nullptr)
+        << result.id;
+    const auto restored = deserialize_outcome(record);
     ASSERT_NE(restored, nullptr) << result.id;
     result.outcome = restored;
     ++round_tripped;
@@ -297,15 +307,31 @@ TEST(Cache, CorruptedDiskEntriesDegradeToMisses) {
     CampaignRunner cold(options);
     (void)cold.run(quick_sources());
   }
-  // Vandalise every stored record; the reload must shrug, not crash.
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::ofstream out(entry.path(), std::ios::trunc);
-    out << "fsr-outcome v1\ngarbage";
+  // Vandalise every stored record; the reload must shrug, not crash. A
+  // record relabelled with an older format version is a miss too, even
+  // with a body that would decode. Each warm run re-persists fresh records
+  // for the next vandalism.
+  const std::vector<std::function<std::string(const std::string&)>>
+      vandalisms = {
+          [](const std::string&) { return "fsr-outcome v1\ngarbage"; },
+          [](const std::string& record) {
+            return "fsr-outcome v4" + record.substr(record.find('\n'));
+          },
+      };
+  for (const auto& vandalise : vandalisms) {
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      const std::string record((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+      in.close();
+      std::ofstream out(entry.path(), std::ios::trunc | std::ios::binary);
+      out << vandalise(record);
+    }
+    CampaignRunner warm(options);
+    const CampaignReport report = warm.run(quick_sources());
+    EXPECT_EQ(report.cache_hit_count, 0u);
+    EXPECT_GT(report.solved_count, 0u);
   }
-  CampaignRunner warm(options);
-  const CampaignReport report = warm.run(quick_sources());
-  EXPECT_EQ(report.cache_hit_count, 0u);
-  EXPECT_GT(report.solved_count, 0u);
   std::filesystem::remove_all(dir);
 }
 

@@ -8,20 +8,24 @@
 //     safe;
 //   * the Figure-3 iBGP instance: eighteen constraints, unsat, with a
 //     six-constraint minimal core touching only the reflectors a, b, c.
-// Both solver pipelines (textual Yices script and direct API) are checked
-// against each other.
+// The analyzer asserts typed terms straight into smt::Context; the Yices
+// script it can emit is run through smt::YicesFrontend as a referee and
+// must reproduce the analyzer's verdicts, models and cores.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "algebra/additive_algebra.h"
 #include "algebra/lexical_product.h"
 #include "algebra/standard_policies.h"
 #include "campaign/scenario_source.h"
+#include "fsr/constraint_encoder.h"
 #include "fsr/incremental_session.h"
 #include "fsr/safety_analyzer.h"
 #include "groundtruth/engine.h"
+#include "smt/yices_frontend.h"
 #include "spp/gadgets.h"
 #include "spp/translate.h"
 #include "util/error.h"
@@ -29,33 +33,22 @@
 namespace fsr {
 namespace {
 
-SafetyAnalyzer textual_analyzer() {
-  SafetyAnalyzer::Options options;
-  options.via_textual_pipeline = true;
-  return SafetyAnalyzer(options);
-}
-
-SafetyAnalyzer direct_analyzer() {
-  SafetyAnalyzer::Options options;
-  options.via_textual_pipeline = false;
-  return SafetyAnalyzer(options);
-}
-
 TEST(SafetyAnalyzer, HopCountIsStrictlyMonotone) {
-  const auto report =
-      textual_analyzer().analyze(*algebra::shortest_hop_count());
+  const auto hop_count = algebra::shortest_hop_count();
+  const auto report = SafetyAnalyzer().analyze(*hop_count);
   EXPECT_EQ(report.verdict, SafetyVerdict::safe);
   ASSERT_EQ(report.checks.size(), 1u);
   EXPECT_TRUE(report.checks[0].holds);
   // The emitted script carries the paper's forall template.
-  EXPECT_NE(report.checks[0].yices_script.find(
-                "(assert (forall (s::Sig) (< s (+ s 1))))"),
+  EXPECT_NE(SafetyAnalyzer::emit_yices_script(hop_count->symbolic(),
+                                              MonotonicityMode::strict)
+                .find("(assert (forall (s::Sig) (< s (+ s 1))))"),
             std::string::npos);
 }
 
 TEST(SafetyAnalyzer, ZeroWeightIgpCostIsMonotoneOnly) {
   const auto algebra = algebra::igp_cost({0, 3});
-  const auto report = textual_analyzer().analyze(*algebra);
+  const auto report = SafetyAnalyzer().analyze(*algebra);
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
   ASSERT_EQ(report.checks.size(), 2u);
   EXPECT_FALSE(report.checks[0].holds);  // strict fails on the 0 weight
@@ -64,7 +57,7 @@ TEST(SafetyAnalyzer, ZeroWeightIgpCostIsMonotoneOnly) {
 
 TEST(SafetyAnalyzer, GaoRexfordStrictFailsPlainHoldsWithPaperModel) {
   const auto report =
-      textual_analyzer().analyze(*algebra::gao_rexford_guideline_a());
+      SafetyAnalyzer().analyze(*algebra::gao_rexford_guideline_a());
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
   ASSERT_EQ(report.checks.size(), 2u);
 
@@ -86,7 +79,7 @@ TEST(SafetyAnalyzer, GaoRexfordStrictFailsPlainHoldsWithPaperModel) {
 
 TEST(SafetyAnalyzer, GaoRexfordWithHopCountIsSafeByComposition) {
   const auto report =
-      textual_analyzer().analyze(*algebra::gao_rexford_with_hop_count());
+      SafetyAnalyzer().analyze(*algebra::gao_rexford_with_hop_count());
   EXPECT_EQ(report.verdict, SafetyVerdict::safe);
   // Factor 1 strict fails, factor 1 plain holds, factor 2 strict holds.
   ASSERT_EQ(report.checks.size(), 3u);
@@ -97,7 +90,7 @@ TEST(SafetyAnalyzer, GaoRexfordWithHopCountIsSafeByComposition) {
 
 TEST(SafetyAnalyzer, WidestShortestIsSafeByComposition) {
   const auto report =
-      textual_analyzer().analyze(*algebra::widest_shortest({10, 100, 1000}));
+      SafetyAnalyzer().analyze(*algebra::widest_shortest({10, 100, 1000}));
   EXPECT_EQ(report.verdict, SafetyVerdict::safe);
 }
 
@@ -106,7 +99,7 @@ TEST(SafetyAnalyzer, AllMonotoneNoStrictFactorIsNotProvablySafe) {
   const auto product =
       algebra::lexical_product(algebra::bandwidth_classes({10, 100}),
                                algebra::bandwidth_classes({10, 100}));
-  const auto report = textual_analyzer().analyze(*product);
+  const auto report = SafetyAnalyzer().analyze(*product);
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
 }
 
@@ -115,7 +108,7 @@ TEST(SafetyAnalyzer, NonMonotoneFirstFactorStopsComposition) {
   const auto bad = spp::algebra_from_spp(spp::bad_gadget());
   const auto product =
       algebra::lexical_product(bad, algebra::shortest_hop_count());
-  const auto report = textual_analyzer().analyze(*product);
+  const auto report = SafetyAnalyzer().analyze(*product);
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
   ASSERT_EQ(report.checks.size(), 2u);
   EXPECT_FALSE(report.checks[1].holds);  // plain also fails
@@ -123,13 +116,13 @@ TEST(SafetyAnalyzer, NonMonotoneFirstFactorStopsComposition) {
 
 TEST(SafetyAnalyzer, GoodGadgetIsSafe) {
   const auto report =
-      textual_analyzer().analyze(*spp::algebra_from_spp(spp::good_gadget()));
+      SafetyAnalyzer().analyze(*spp::algebra_from_spp(spp::good_gadget()));
   EXPECT_EQ(report.verdict, SafetyVerdict::safe);
 }
 
 TEST(SafetyAnalyzer, BadGadgetIsNotProvablySafe) {
   const auto report =
-      textual_analyzer().analyze(*spp::algebra_from_spp(spp::bad_gadget()));
+      SafetyAnalyzer().analyze(*spp::algebra_from_spp(spp::bad_gadget()));
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
   const auto* core = report.failing_core();
   ASSERT_NE(core, nullptr);
@@ -142,14 +135,14 @@ TEST(SafetyAnalyzer, DisagreeIsNotProvablySafe) {
   // Known false positive of the strict-monotonicity test: DISAGREE always
   // converges in practice, yet is not strictly monotone (the paper reports
   // the same verdict).
-  const auto report = textual_analyzer().analyze(
+  const auto report = SafetyAnalyzer().analyze(
       *spp::algebra_from_spp(spp::disagree_gadget()));
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
 }
 
 TEST(SafetyAnalyzer, Figure3EighteenConstraintsUnsat) {
   const auto a = spp::algebra_from_spp(spp::ibgp_figure3_gadget());
-  const auto report = textual_analyzer().analyze(*a);
+  const auto report = SafetyAnalyzer().analyze(*a);
   EXPECT_EQ(report.verdict, SafetyVerdict::not_provably_safe);
   const MonotonicityReport& strict = report.checks[0];
   EXPECT_EQ(
@@ -159,7 +152,7 @@ TEST(SafetyAnalyzer, Figure3EighteenConstraintsUnsat) {
 
 TEST(SafetyAnalyzer, Figure3CoreTouchesOnlyReflectors) {
   const auto a = spp::algebra_from_spp(spp::ibgp_figure3_gadget());
-  const auto report = textual_analyzer().analyze(*a);
+  const auto report = SafetyAnalyzer().analyze(*a);
   const auto* core = report.failing_core();
   ASSERT_NE(core, nullptr);
   EXPECT_EQ(core->size(), 6u);  // the oscillation cycle, minimal
@@ -177,13 +170,14 @@ TEST(SafetyAnalyzer, Figure3CoreTouchesOnlyReflectors) {
 
 TEST(SafetyAnalyzer, Figure3FixedIsSafe) {
   const auto a = spp::algebra_from_spp(spp::ibgp_figure3_fixed());
-  const auto report = textual_analyzer().analyze(*a);
+  const auto report = SafetyAnalyzer().analyze(*a);
   EXPECT_EQ(report.verdict, SafetyVerdict::safe);
 }
 
 TEST(SafetyAnalyzer, PipelinesAgree) {
-  // Textual (emit -> parse -> solve) and direct API pipelines must agree
-  // on verdicts, models, and cores for all the standard cases.
+  // The emitted script, run through the Yices-style frontend, must mean
+  // exactly what the analyzer solved: same verdicts, models and cores for
+  // all the standard cases.
   const std::vector<algebra::AlgebraPtr> algebras = {
       algebra::shortest_hop_count(),
       algebra::gao_rexford_guideline_a(),
@@ -195,18 +189,40 @@ TEST(SafetyAnalyzer, PipelinesAgree) {
       spp::algebra_from_spp(spp::ibgp_figure3_gadget()),
   };
   for (const auto& algebra : algebras) {
-    const auto textual = textual_analyzer().analyze(*algebra);
-    const auto direct = direct_analyzer().analyze(*algebra);
-    EXPECT_EQ(textual.verdict, direct.verdict) << algebra->name();
-    ASSERT_EQ(textual.checks.size(), direct.checks.size()) << algebra->name();
-    for (std::size_t i = 0; i < textual.checks.size(); ++i) {
-      EXPECT_EQ(textual.checks[i].holds, direct.checks[i].holds);
-      EXPECT_EQ(textual.checks[i].model.values, direct.checks[i].model.values);
-      ASSERT_EQ(textual.checks[i].unsat_core.size(),
-                direct.checks[i].unsat_core.size());
-      for (std::size_t j = 0; j < textual.checks[i].unsat_core.size(); ++j) {
-        EXPECT_EQ(textual.checks[i].unsat_core[j].description,
-                  direct.checks[i].unsat_core[j].description);
+    const SafetyReport report = SafetyAnalyzer().analyze(*algebra);
+    std::vector<const algebra::RoutingAlgebra*> leaves =
+        algebra->lexical_factors();
+    if (leaves.empty()) leaves.push_back(algebra.get());
+    for (const MonotonicityReport& check : report.checks) {
+      const auto leaf = std::find_if(
+          leaves.begin(), leaves.end(),
+          [&](const auto* a) { return a->name() == check.algebra_name; });
+      ASSERT_NE(leaf, leaves.end()) << check.algebra_name;
+      const algebra::SymbolicSpec spec = (*leaf)->symbolic();
+      const smt::CheckOutcome outcome =
+          smt::YicesFrontend()
+              .run_script(SafetyAnalyzer::emit_yices_script(spec, check.mode))
+              .single_check();
+      EXPECT_EQ(outcome.status == smt::Status::sat, check.holds)
+          << check.algebra_name;
+
+      const encoding::SymbolTable symbols(spec.signatures);
+      std::map<std::string, std::int64_t> model;
+      for (const auto& [symbol, value] : outcome.model.values) {
+        model[symbols.original(symbol)] = value;
+      }
+      EXPECT_EQ(model, check.model.values) << check.algebra_name;
+
+      const encoding::Encoding enc =
+          encoding::encode(spec, check.mode, symbols);
+      ASSERT_EQ(outcome.core_ids.size(), check.unsat_core.size())
+          << check.algebra_name;
+      for (std::size_t j = 0; j < outcome.core_ids.size(); ++j) {
+        const auto index = static_cast<std::size_t>(outcome.core_ids[j]);
+        ASSERT_LT(index, enc.provenance.size());
+        EXPECT_EQ(enc.provenance[index].description,
+                  check.unsat_core[j].description);
+        EXPECT_EQ(outcome.core_texts[j], check.unsat_core[j].constraint);
       }
     }
   }
@@ -228,7 +244,7 @@ TEST(SafetyAnalyzer, EmittedScriptMatchesPaperShape) {
 
 TEST(SafetyAnalyzer, NarrativeSuggestsCompositionForMonotoneAlgebras) {
   const auto report =
-      textual_analyzer().analyze(*algebra::gao_rexford_guideline_a());
+      SafetyAnalyzer().analyze(*algebra::gao_rexford_guideline_a());
   EXPECT_NE(report.narrative.find("tie-breaker"), std::string::npos);
 }
 
@@ -271,8 +287,8 @@ TEST(SafetyAnalyzer, GadgetLibraryCoresAreMinimal) {
   }
 }
 
-// The incremental session must agree with the per-call analyzer pipelines
-// on every standard case: same verdicts, same core provenance.
+// The incremental session must agree with the per-call analyzer on every
+// standard case: same verdicts, same core provenance.
 TEST(IncrementalSession, AgreesWithAnalyzer) {
   const std::vector<algebra::AlgebraPtr> algebras = {
       algebra::gao_rexford_guideline_a(),
@@ -283,18 +299,18 @@ TEST(IncrementalSession, AgreesWithAnalyzer) {
       spp::algebra_from_spp(spp::ibgp_figure3_fixed()),
   };
   for (const auto& algebra : algebras) {
-    const MonotonicityReport direct = direct_analyzer().check_monotonicity(
+    const MonotonicityReport analyzed = SafetyAnalyzer().check_monotonicity(
         *algebra, MonotonicityMode::strict);
     IncrementalSafetySession session =
         SafetyAnalyzer::open_incremental(*algebra, MonotonicityMode::strict);
     const auto result = session.check({});
-    EXPECT_EQ(result.holds, direct.holds) << algebra->name();
+    EXPECT_EQ(result.holds, analyzed.holds) << algebra->name();
     if (!result.holds) {
-      ASSERT_EQ(result.core.size(), direct.unsat_core.size())
+      ASSERT_EQ(result.core.size(), analyzed.unsat_core.size())
           << algebra->name();
       for (std::size_t i = 0; i < result.core.size(); ++i) {
         EXPECT_EQ(session.provenance(result.core[i]).description,
-                  direct.unsat_core[i].description);
+                  analyzed.unsat_core[i].description);
       }
     }
   }
@@ -407,7 +423,7 @@ TEST(SafetyAnalyzer, SatSearchCrossValidatesBeyondEnumeration) {
 
 TEST(SafetyAnalyzer, SolveTimeIsRecorded) {
   const auto report =
-      textual_analyzer().analyze(*spp::algebra_from_spp(spp::bad_gadget()));
+      SafetyAnalyzer().analyze(*spp::algebra_from_spp(spp::bad_gadget()));
   EXPECT_GT(report.total_solve_time_ms(), 0.0);
   // Gadget-scale analyses complete well under the paper's 100 ms budget.
   EXPECT_LT(report.total_solve_time_ms(), 100.0);

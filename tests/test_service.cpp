@@ -138,6 +138,14 @@ TEST(Json, RejectsMalformedInput) {
   // Type mismatches surface as InvalidArgument too.
   EXPECT_THROW(json::parse("3.5").as_u64("x"), InvalidArgument);
   EXPECT_THROW(json::parse("-2").as_u64("x"), InvalidArgument);
+  // Nesting is bounded, so a long line of '[' is an error, not a stack
+  // overflow; the deepest allowed nesting still parses.
+  EXPECT_THROW(json::parse(std::string(800000, '[')), InvalidArgument);
+  EXPECT_THROW(json::parse(std::string(json::k_max_depth + 1, '[') +
+                           std::string(json::k_max_depth + 1, ']')),
+               InvalidArgument);
+  EXPECT_NO_THROW(json::parse(std::string(json::k_max_depth, '[') +
+                              std::string(json::k_max_depth, ']')));
 }
 
 TEST(Wire, ParsesEveryPayloadShape) {
@@ -164,8 +172,9 @@ TEST(Wire, ParsesEveryPayloadShape) {
   EXPECT_EQ(sim.suppression, "split-horizon");
   EXPECT_EQ(sim.max_steps, std::optional<std::uint64_t>(500));
   // Omitted => the SPVP default, exactly like scenario.
-  const auto& defaulted = std::get<SimulateRequest>(wire::parse_request(
-      R"({"kind": "simulate", "gadget": "bad", "seed": 3})"));
+  const SimulateRequest defaulted =
+      std::get<SimulateRequest>(wire::parse_request(
+          R"({"kind": "simulate", "gadget": "bad", "seed": 3})"));
   EXPECT_EQ(defaulted.suppression, "none");
 }
 
@@ -199,6 +208,16 @@ TEST(Wire, SchemaViolationsThrow) {
       wire::parse_request(
           R"({"kind": "ground-truth", "gadget": "bad", "mode": "magic"})"),
       InvalidArgument);
+  // Random sizes must fit the sweep's int32 fields, not wrap (4294967300
+  // once became a 4-node instance).
+  EXPECT_THROW(wire::parse_request(
+                   R"({"kind": "analyze-safety", "random": {"seed": 3,)"
+                   R"( "min_nodes": 4294967300, "max_nodes": 4294967300}})"),
+               InvalidArgument);
+  EXPECT_THROW(wire::parse_request(
+                   R"({"kind": "repair", "random": {"seed": 3,)"
+                   R"( "paths_per_node": 2147483648}})"),
+               InvalidArgument);
   // Simulate-only fields are validated, not silently defaulted.
   EXPECT_THROW(validate(wire::parse_request(
                    R"({"kind": "simulate", "gadget": "bad",)"
