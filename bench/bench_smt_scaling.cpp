@@ -46,18 +46,6 @@ void bm_unsat_ring(benchmark::State& state) {
 }
 BENCHMARK(bm_unsat_ring)->Arg(64)->Arg(256)->Arg(1024);
 
-void bm_unsat_ring_no_minimize(benchmark::State& state) {
-  for (auto _ : state) {
-    fsr::smt::Context ctx;
-    ctx.set_minimize_cores(false);
-    const std::int64_t n = state.range(0);
-    build_chain(ctx, n);
-    ctx.assert_less("v" + std::to_string(n - 1), "v0");
-    benchmark::DoNotOptimize(ctx.check().status);
-  }
-}
-BENCHMARK(bm_unsat_ring_no_minimize)->Arg(64)->Arg(256)->Arg(1024);
-
 void bm_figure3_analysis(benchmark::State& state) {
   const auto algebra =
       fsr::spp::algebra_from_spp(fsr::spp::ibgp_figure3_gadget());

@@ -186,7 +186,10 @@ std::string content_digest(const std::string& canonical) {
 
 namespace {
 
-// v5: safety checks dropped check.script, the per-check Yices script that
+// v6: safety cores come from the one incremental engine, so a strict
+// check's core can differ from the one a v5 record holds for the same
+// scenario; the bump keeps warm runs equal to cold ones. v5: safety checks
+// dropped check.script, the per-check Yices script that
 // no response or report renders (SafetyAnalyzer::emit_yices_script renders
 // it on demand). v4: the simulation payload gained sim.suppression and
 // sim.cutoff (the suppression-policy + budget-cutoff PR), and simulation
@@ -196,7 +199,7 @@ namespace {
 // "simulation" kind tag; v2 lacked both. v2: RepairSummary gained
 // oracle_budget (the incremental-oracle PR). Records with an older header
 // fail the check and degrade to misses.
-constexpr const char* k_record_header = "fsr-outcome v5";
+constexpr const char* k_record_header = "fsr-outcome v6";
 
 std::string escape_value(const std::string& text) {
   std::string out;

@@ -25,6 +25,23 @@ std::int64_t ceil_div(std::int64_t a, std::int64_t b) {
 // Tag used for type (positivity) constraints; never a valid assertion id.
 constexpr std::int64_t k_builtin_tag = -1;
 
+// Adds the constraints of one assertion; returns whether the engine stays
+// feasible.
+bool add_assertion(IncrementalDiffEngine& engine,
+                   const std::vector<DiffConstraint>& constraints) {
+  for (const DiffConstraint& c : constraints) {
+    if (!engine.add(c)) return false;
+  }
+  return engine.feasible();
+}
+
+CheckResult decided_false(AssertionId id) {
+  CheckResult result;
+  result.status = Status::unsat;
+  result.unsat_core = {id};
+  return result;
+}
+
 }  // namespace
 
 std::int64_t Model::at(const std::string& name) const {
@@ -345,22 +362,39 @@ void Context::lower_forall(const Term& term, AssertionInfo& out) const {
   out.trivially_false = !valid;
 }
 
-CheckResult Context::check() const {
-  std::vector<const AssertionInfo*> active;
-  active.reserve(assertions_.size());
-  for (const AssertionInfo& a : assertions_) {
-    if (a.active) active.push_back(&a);
+// Declares the variables the engine does not have yet, each with its type
+// constraint (a lower bound lb gives x >= lb, i.e. 0 - x <= -lb). Seeding
+// a new variable at potential(0) + lb makes that constraint a zero-slack
+// no-op.
+void Context::add_variables(IncrementalDiffEngine& engine) const {
+  for (std::int32_t v = engine.variable_count();
+       static_cast<std::size_t>(v) <= variables_.size(); ++v) {
+    const std::optional<std::int64_t>& bound =
+        variables_[static_cast<std::size_t>(v - 1)].lower_bound;
+    engine.add_variable(engine.potential(0) + bound.value_or(0));
+    if (bound.has_value()) {
+      engine.add(DiffConstraint{0, v, -*bound, k_builtin_tag});
+    }
   }
-  return run_check(active);
 }
 
 CheckResult Context::check_subset(const std::vector<AssertionId>& ids) const {
-  std::vector<const AssertionInfo*> active;
-  active.reserve(ids.size());
+  std::vector<const AssertionInfo*> subset;
+  subset.reserve(ids.size());
   for (const AssertionId id : ids) {
-    active.push_back(&info_for(id, "check_subset"));
+    subset.push_back(&info_for(id, "check_subset"));
   }
-  return run_check(active);
+  // A decided-false assertion (failed forall schema, contradictory constant
+  // comparison) is an unsat core on its own.
+  for (const AssertionInfo* a : subset) {
+    if (a->trivially_false) return decided_false(a->id);
+  }
+  IncrementalDiffEngine engine(1);
+  add_variables(engine);
+  for (const AssertionInfo* a : subset) {
+    if (!add_assertion(engine, a->constraints)) break;
+  }
+  return conclude(engine, true);
 }
 
 // Rebuilds or extends the cached incremental engine so its base equals the
@@ -397,22 +431,8 @@ void Context::sync_engine_base() {
     rebuild_counter.add(1);
     engine_.emplace(1);
     engine_base_ids_.clear();
-    engine_variable_count_ = 0;
   }
-
-  // Grow variables. Seeding each new variable at potential(0) + bound makes
-  // the type-constraint add a zero-slack no-op.
-  for (std::size_t v = engine_variable_count_; v < variables_.size(); ++v) {
-    const VariableInfo& info = variables_[v];
-    const std::int64_t zero = engine_->potential(0);
-    engine_->add_variable(info.lower_bound.has_value() ? zero + *info.lower_bound
-                                                       : zero);
-    if (info.lower_bound.has_value()) {
-      engine_->add(DiffConstraint{0, static_cast<std::int32_t>(v + 1),
-                                  -*info.lower_bound, k_builtin_tag});
-    }
-  }
-  engine_variable_count_ = variables_.size();
+  add_variables(*engine_);
 
   // Add base assertions the engine has not seen yet. Once the base turns
   // infeasible the remaining constraints are recorded without solving; the
@@ -429,29 +449,6 @@ void Context::sync_engine_base() {
   engine_synced_once_ = true;
 }
 
-CheckResult Context::finish_unsat_from_engine(
-    const std::vector<const AssertionInfo*>& assumed) {
-  CheckResult result;
-  result.status = Status::unsat;
-  std::vector<AssertionId> candidate;
-  for (const std::int64_t tag : engine_->conflict_tags()) {
-    if (tag != k_builtin_tag) candidate.push_back(tag);
-  }
-  if (candidate.empty()) {
-    // Degenerate fallback (cannot normally happen): over-approximate with
-    // everything considered and let the minimiser reduce it.
-    for (const AssertionInfo& a : assertions_) {
-      if (a.active) candidate.push_back(a.id);
-    }
-    for (const AssertionInfo* a : assumed) {
-      if (!a->active) candidate.push_back(a->id);
-    }
-  }
-  result.unsat_core =
-      minimize_cores_ ? minimize_core(std::move(candidate)) : candidate;
-  return result;
-}
-
 CheckResult Context::check(const std::vector<AssertionId>& assumptions,
                            bool extract_model) {
   ++stat_incremental_checks_;
@@ -463,33 +460,23 @@ CheckResult Context::check(const std::vector<AssertionId>& assumptions,
     assumed.push_back(&info_for(id, "check"));
   }
 
-  // Decided-false assertions mirror run_check: actives in assertion order
+  // A decided-false assertion (failed forall schema, contradictory constant
+  // comparison) is an unsat core on its own: actives in assertion order
   // first, then the assumptions. The counter keeps the no-hit case O(1).
-  CheckResult result;
   if (active_trivial_count_ > 0) {
     for (const AssertionInfo& a : assertions_) {
-      if (a.active && a.trivially_false) {
-        result.status = Status::unsat;
-        result.unsat_core = {a.id};
-        return result;
-      }
+      if (a.active && a.trivially_false) return decided_false(a.id);
     }
   }
   for (const AssertionInfo* a : assumed) {
-    if (a->trivially_false) {
-      result.status = Status::unsat;
-      result.unsat_core = {a->id};
-      return result;
-    }
+    if (a->trivially_false) return decided_false(a->id);
   }
 
   sync_engine_base();
 
-  if (!engine_->feasible()) {
-    // The always-active base is already unsatisfiable; its recorded
-    // conflict answers every check until the base changes.
-    return finish_unsat_from_engine(assumed);
-  }
+  // An infeasible base's recorded conflict answers every check until the
+  // base changes.
+  if (!engine_->feasible()) return conclude(*engine_, extract_model);
 
   // Layer scope-local actives and assumptions on the shared base.
   const std::size_t floor =
@@ -498,121 +485,68 @@ CheckResult Context::check(const std::vector<AssertionId>& assumptions,
                                  assertions_.size());
   engine_->push();
   bool feasible = true;
-  std::set<AssertionId> layered;
   for (std::size_t i = floor; i < assertions_.size() && feasible; ++i) {
-    const AssertionInfo& a = assertions_[i];
-    if (!a.active) continue;
-    layered.insert(a.id);
-    for (const DiffConstraint& c : a.constraints) {
-      if (!engine_->add(c)) {
-        feasible = false;
-        break;
-      }
+    if (assertions_[i].active) {
+      feasible = add_assertion(*engine_, assertions_[i].constraints);
     }
   }
   for (const AssertionInfo* a : assumed) {
     if (!feasible) break;
-    if (a->active) continue;  // already part of the base or scoped layer
-    if (!layered.insert(a->id).second) continue;
-    for (const DiffConstraint& c : a->constraints) {
-      if (!engine_->add(c)) {
-        feasible = false;
-        break;
-      }
-    }
+    // Actives are already in the base or the scoped layer.
+    if (!a->active) feasible = add_assertion(*engine_, a->constraints);
   }
-
-  if (feasible) {
-    result.status = Status::sat;
-    if (extract_model) {
-      const std::vector<std::int64_t> values = engine_->model();
-      for (std::size_t v = 0; v < variables_.size(); ++v) {
-        result.model.values[variables_[v].name] = values[v + 1];
-      }
-    }
-  } else {
-    result = finish_unsat_from_engine(assumed);
-  }
+  CheckResult result = conclude(*engine_, extract_model);
   engine_->pop();
   return result;
 }
 
-CheckResult Context::run_check(
-    const std::vector<const AssertionInfo*>& active) const {
+CheckResult Context::conclude(const IncrementalDiffEngine& engine,
+                              bool extract_model) const {
   CheckResult result;
-
-  // A decided-false assertion (failed forall schema, contradictory constant
-  // comparison) is an unsat core on its own.
-  for (const AssertionInfo* a : active) {
-    if (a->trivially_false) {
-      result.status = Status::unsat;
-      result.unsat_core = {a->id};
-      return result;
-    }
-  }
-
-  std::vector<DiffConstraint> constraints;
-  for (const AssertionInfo* a : active) {
-    constraints.insert(constraints.end(), a->constraints.begin(),
-                       a->constraints.end());
-  }
-  // Type constraints: a lower bound lb gives x >= lb, i.e. 0 - x <= -lb.
-  for (std::size_t v = 0; v < variables_.size(); ++v) {
-    if (variables_[v].lower_bound.has_value()) {
-      constraints.push_back(DiffConstraint{0,
-                                           static_cast<std::int32_t>(v + 1),
-                                           -*variables_[v].lower_bound,
-                                           k_builtin_tag});
-    }
-  }
-
-  const auto var_count = static_cast<std::int32_t>(variables_.size() + 1);
-  DiffResult diff = solve_difference_system(var_count, constraints);
-
-  if (diff.satisfiable) {
-    result.status = Status::sat;
-    for (std::size_t v = 0; v < variables_.size(); ++v) {
-      result.model.values[variables_[v].name] = diff.model[v + 1];
+  if (engine.feasible()) {
+    if (extract_model) {
+      const std::vector<std::int64_t> values = engine.model();
+      for (std::size_t v = 0; v < variables_.size(); ++v) {
+        result.model.values[variables_[v].name] = values[v + 1];
+      }
     }
     return result;
   }
-
+  // Type constraints are edges into the zero variable and never leave it,
+  // so every negative cycle carries at least one assertion.
   result.status = Status::unsat;
-  std::vector<AssertionId> candidate;
-  for (const std::int64_t tag : diff.conflict_tags) {
-    if (tag != k_builtin_tag) candidate.push_back(tag);
+  std::vector<AssertionId> seed;
+  for (const std::int64_t tag : engine.conflict_tags()) {
+    if (tag != k_builtin_tag) seed.push_back(tag);
   }
-  // Degenerate fallback: a conflict consisting purely of type constraints
-  // cannot happen (x >= 1 alone is satisfiable), but keep the report sound
-  // if the seed was over-approximated.
-  if (candidate.empty()) {
-    for (const AssertionInfo* a : active) candidate.push_back(a->id);
-  }
-  result.unsat_core =
-      minimize_cores_ ? minimize_core(std::move(candidate)) : candidate;
+  result.unsat_core = minimize_core(seed);
   return result;
 }
 
-// Deletion-based minimisation: drop one member at a time and keep the
-// removal whenever the remainder is still unsatisfiable. The negative-cycle
-// seed is already small, so this loop runs a handful of cheap re-checks.
+// Deletion-based minimisation in seed order on a fresh engine. A member
+// whose removal leaves the rest satisfiable is necessary for every subset
+// of the rest too, so it stays added below the probe scope; each probe
+// adds only the members not yet decided.
 std::vector<AssertionId> Context::minimize_core(
-    std::vector<AssertionId> candidate) const {
-  std::size_t i = 0;
-  while (i < candidate.size()) {
-    std::vector<AssertionId> trial;
-    trial.reserve(candidate.size() - 1);
-    for (std::size_t j = 0; j < candidate.size(); ++j) {
-      if (j != i) trial.push_back(candidate[j]);
+    const std::vector<AssertionId>& candidate) const {
+  IncrementalDiffEngine engine(1);
+  add_variables(engine);
+  std::vector<AssertionId> core;
+  for (std::size_t i = 0; i < candidate.size(); ++i) {
+    engine.push();
+    bool feasible = engine.feasible();
+    for (std::size_t j = i + 1; j < candidate.size() && feasible; ++j) {
+      feasible =
+          add_assertion(engine, info_for(candidate[j], "check").constraints);
     }
-    if (check_subset(trial).status == Status::unsat) {
-      candidate = std::move(trial);  // keep i pointing at the next element
-    } else {
-      ++i;
+    engine.pop();
+    if (feasible) {
+      add_assertion(engine, info_for(candidate[i], "check").constraints);
+      core.push_back(candidate[i]);
     }
   }
-  std::sort(candidate.begin(), candidate.end());
-  return candidate;
+  std::sort(core.begin(), core.end());
+  return core;
 }
 
 std::string Context::describe(AssertionId id) const {

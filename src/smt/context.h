@@ -34,11 +34,10 @@ enum class Status { sat, unsat };
 /// simply rejected by later calls, never recycled for a new assertion).
 using AssertionId = std::int64_t;
 
-/// Variable assignment for a satisfiable check. check() values are
-/// normalised so they are as small as the constraints allow (shortest-path
-/// potentials), which matches the instances Yices prints for FSR's
-/// encodings. The incremental check(assumptions) returns a feasible
-/// witness that need not be that minimal assignment.
+/// Variable assignment for a satisfiable check: the least model, i.e.
+/// shortest-path distances from a super-source shifted so the implicit zero
+/// variable sits at 0, which matches the instances Yices prints for FSR's
+/// encodings. Every check returns this same model.
 struct Model {
   std::map<std::string, std::int64_t> values;
 
@@ -53,11 +52,14 @@ struct CheckResult {
 
 /// An assertion context in the style of an SMT solver session.
 ///
+/// Every check runs on IncrementalDiffEngine: check() on a cached engine,
+/// check_subset() on a fresh one. Both seed the unsat core from the
+/// engine's negative cycle and minimise it the same way, so the same
+/// constraint set yields the same core whichever entry point asks.
+///
 /// Thread-compatibility: a Context is a mutable single-thread object — no
-/// internal synchronization; the logically-const check() methods build
-/// solver state from the assertion store, and the incremental
-/// check(assumptions) additionally mutates a cached IncrementalDiffEngine —
-/// so a Context must be confined to one thread at a time. There is NO
+/// internal synchronization; check() mutates a cached IncrementalDiffEngine
+/// — so a Context must be confined to one thread at a time. There is NO
 /// hidden global/static state anywhere in the smt layer (audited 2026-07),
 /// so distinct Context instances on distinct threads never interfere; that
 /// is the contract the parallel campaign runner relies on (one solver
@@ -114,25 +116,21 @@ class Context {
   void pop();
   std::size_t scope_depth() const noexcept { return scopes_.size(); }
 
-  /// Checks the conjunction of all active assertions. Always solves from
-  /// scratch (and therefore yields the normalised minimal model).
-  CheckResult check() const;
-
-  /// Incremental check of (all active assertions) AND (the given
-  /// assumptions, activated for this call regardless of retraction).
-  /// Reuses a cached incremental difference engine across calls: the
-  /// engine's base holds the active assertions below the outermost live
-  /// scope, so repeated checks that only vary assumptions or scope-local
-  /// assertions never rebuild it. The unsat core may name both active
-  /// assertions and assumptions and is minimised as usual.
+  /// Checks (all active assertions) AND (the given assumptions, activated
+  /// for this call regardless of retraction). Reuses a cached incremental
+  /// difference engine across calls: the engine's base holds the active
+  /// assertions below the outermost live scope, so repeated checks that
+  /// only vary assumptions or scope-local assertions never rebuild it. On
+  /// sat the result carries the least model; on unsat a minimal core that
+  /// may name both active assertions and assumptions.
   /// `extract_model = false` skips model construction on sat — callers that
-  /// only branch on the status (the repair loop) save the O(variables)
+  /// only branch on the status (the repair loop) save the Dijkstra and the
   /// map-building cost per check.
-  CheckResult check(const std::vector<AssertionId>& assumptions,
+  CheckResult check(const std::vector<AssertionId>& assumptions = {},
                     bool extract_model = true);
 
-  /// Checks only the given assertions (plus type constraints). Used by the
-  /// core minimiser and exposed for tests and ablation benchmarks.
+  /// Checks only the given assertions (plus type constraints) on a fresh
+  /// engine. Exposed for tests and the from-scratch ablation benchmark.
   CheckResult check_subset(const std::vector<AssertionId>& ids) const;
 
   /// Human-readable description of an assertion: its label when provided,
@@ -141,11 +139,6 @@ class Context {
 
   std::size_t active_assertion_count() const noexcept;
   std::size_t variable_count() const noexcept { return variables_.size(); }
-
-  /// When true (default), unsat cores are minimised by deletion after the
-  /// negative-cycle seed; when false the raw cycle is returned. Exposed so
-  /// the ablation benchmark can measure the cost/benefit.
-  void set_minimize_cores(bool on) noexcept { minimize_cores_ = on; }
 
   /// Instrumentation for the incremental path (bench_repair's ablation).
   std::uint64_t incremental_check_count() const noexcept {
@@ -187,12 +180,12 @@ class Context {
   void record_flag_change(AssertionId id, bool previous);
   void lower_relation(const Term& term, AssertionInfo& out) const;
   void lower_forall(const Term& term, AssertionInfo& out) const;
-  CheckResult run_check(const std::vector<const AssertionInfo*>& active) const;
+  void add_variables(IncrementalDiffEngine& engine) const;
+  CheckResult conclude(const IncrementalDiffEngine& engine,
+                       bool extract_model) const;
   std::vector<AssertionId> minimize_core(
-      std::vector<AssertionId> candidate) const;
+      const std::vector<AssertionId>& candidate) const;
   void sync_engine_base();
-  CheckResult finish_unsat_from_engine(
-      const std::vector<const AssertionInfo*>& considered);
 
   std::vector<VariableInfo> variables_;
   std::map<std::string, std::int32_t> variable_ids_;
@@ -200,7 +193,6 @@ class Context {
   std::map<AssertionId, std::size_t> id_to_index_;
   AssertionId next_id_ = 0;
   std::vector<ScopeInfo> scopes_;
-  bool minimize_cores_ = true;
   // Count of active decided-false assertions, so the incremental check's
   // hot path skips the O(n) scan when (as almost always) there are none.
   std::size_t active_trivial_count_ = 0;
@@ -214,7 +206,6 @@ class Context {
   // that is not a pure addition forces a rebuild.
   std::optional<IncrementalDiffEngine> engine_;
   std::vector<AssertionId> engine_base_ids_;
-  std::size_t engine_variable_count_ = 0;
   std::uint64_t engine_base_revision_ = 0;
   bool engine_synced_once_ = false;
   std::uint64_t stat_incremental_checks_ = 0;

@@ -227,10 +227,46 @@ std::vector<std::int64_t> IncrementalDiffEngine::model() const {
   if (!feasible_) {
     throw InvalidArgument("incremental engine is infeasible; no model");
   }
-  std::vector<std::int64_t> values(potentials_.size());
-  const std::int64_t shift = potentials_[0];
-  for (std::size_t v = 0; v < potentials_.size(); ++v) {
-    values[v] = potentials_[v] - shift;
+  // Shortest distances from an implicit super-source with a 0-weight edge
+  // to every variable. The feasible potentials make every reduced cost
+  // potential[from] + weight - potential[to] non-negative, so one Dijkstra
+  // finds them; placing the source at the highest potential makes its own
+  // edges non-negative too.
+  const std::size_t n = potentials_.size();
+  const std::int64_t top =
+      *std::max_element(potentials_.begin(), potentials_.end());
+  std::vector<std::int64_t> reduced(n);
+  std::vector<char> settled(n, 0);
+  using QueueEntry = std::pair<std::int64_t, std::size_t>;
+  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
+                      std::greater<QueueEntry>>
+      queue;
+  for (std::size_t v = 0; v < n; ++v) {
+    reduced[v] = top - potentials_[v];
+    queue.emplace(reduced[v], v);
+  }
+  while (!queue.empty()) {
+    const auto [d, s] = queue.top();
+    queue.pop();
+    if (settled[s] != 0) continue;
+    settled[s] = 1;
+    for (const std::int32_t e : out_[s]) {
+      const Edge& edge = edges_[static_cast<std::size_t>(e)];
+      const auto t = static_cast<std::size_t>(edge.to);
+      const std::int64_t candidate =
+          d + potentials_[s] + edge.weight - potentials_[t];
+      if (candidate < reduced[t]) {
+        reduced[t] = candidate;
+        queue.emplace(candidate, t);
+      }
+    }
+  }
+  // The true distance is reduced[v] - top + potentials_[v]; shifting so
+  // variable 0 sits at 0 cancels `top`.
+  std::vector<std::int64_t> values(n);
+  const std::int64_t shift = reduced[0] + potentials_[0];
+  for (std::size_t v = 0; v < n; ++v) {
+    values[v] = reduced[v] + potentials_[v] - shift;
   }
   return values;
 }

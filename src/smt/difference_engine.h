@@ -7,11 +7,16 @@
 // x - y <= c — has no negative-weight cycle (a classical result; see e.g.
 // Cormen et al., "difference constraints and shortest paths").
 //
-// The engine additionally:
-//   * extracts a model from shortest-path potentials when satisfiable;
+// IncrementalDiffEngine is the decision procedure every smt::Context check
+// runs on. It additionally:
+//   * extracts the least model (shortest distances from a super-source)
+//     when satisfiable;
 //   * reports the set of constraints on a negative cycle when
 //     unsatisfiable, which seeds the minimal unsat-core computation in
 //     Context.
+// solve_difference_system is the batch Bellman-Ford formulation of the
+// same question. No solver path calls it; tests keep it as the referee the
+// incremental engine's verdicts, models and cores are checked against.
 #ifndef FSR_SMT_DIFFERENCE_ENGINE_H
 #define FSR_SMT_DIFFERENCE_ENGINE_H
 
@@ -46,10 +51,9 @@ struct DiffResult {
 };
 
 /// Checks feasibility of `constraints` over `variable_count` integer
-/// variables using Bellman-Ford with a virtual super-source. Runs in
-/// O(V * E); the systems FSR produces (hundreds of constraints) solve in
-/// well under a millisecond, matching the paper's <100ms Yices numbers
-/// with a wide margin.
+/// variables using Bellman-Ford with a virtual super-source, in O(V * E).
+/// The test referee for IncrementalDiffEngine: its model is the same least
+/// model IncrementalDiffEngine::model() returns.
 DiffResult solve_difference_system(std::int32_t variable_count,
                                    const std::vector<DiffConstraint>& constraints);
 
@@ -58,11 +62,11 @@ DiffResult solve_difference_system(std::int32_t variable_count,
 /// Maintains a feasible potential function over the constraint graph so
 /// that each added constraint costs only a local Dijkstra-like repair on
 /// reduced costs — O(1) when the new edge is already satisfied — instead of
-/// the full O(V * E) Bellman-Ford pass solve_difference_system runs per
-/// call. push()/pop() snapshot the engine so a caller can layer temporary
-/// constraints (assumption-based checks, repair candidates) on a shared
-/// base without ever rebuilding it. This is what makes the repair engine's
-/// hundreds of near-identical re-checks cheap.
+/// a full O(V * E) Bellman-Ford pass. push()/pop() snapshot the engine so a
+/// caller can layer temporary constraints (assumption-based checks, repair
+/// candidates, core-minimisation probes) on a shared base without ever
+/// rebuilding it. This is what makes the repair engine's hundreds of
+/// near-identical re-checks cheap.
 ///
 /// Thread-compatibility: a mutable single-thread object with no global
 /// state; distinct instances on distinct threads never interfere (same
@@ -101,9 +105,11 @@ class IncrementalDiffEngine {
     return conflict_tags_;
   }
 
-  /// A satisfying assignment (one value per variable, variable 0 at 0).
-  /// Unlike solve_difference_system's model this is a feasible witness,
-  /// not the minimal shortest-path assignment. Requires feasible().
+  /// The least model: one value per variable, each the shortest distance
+  /// from an implicit super-source with a 0-weight edge to every variable,
+  /// shifted so variable 0 sits at 0. One Dijkstra over the reduced costs
+  /// of the current potentials; the values equal solve_difference_system's
+  /// model for the same constraints. Requires feasible().
   std::vector<std::int64_t> model() const;
 
   /// Snapshots constraints, potentials and feasibility; pop() restores the

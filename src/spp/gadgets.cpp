@@ -1,6 +1,6 @@
 #include "spp/gadgets.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <utility>
 
 #include "util/error.h"
@@ -192,8 +192,16 @@ SppInstance gadget_by_name(const std::string& name) {
   for (const auto& [prefix, build] : chains) {
     const std::string prefix_text(prefix);
     if (name.rfind(prefix_text, 0) == 0) {
-      const int count = std::atoi(name.c_str() + prefix_text.size());
-      if (count >= 1) return build(count);
+      // Digits only, all of them: "bad-chain-12abc" is not bad-chain-12,
+      // and an overflowing or huge count must not pin a worker.
+      const char* first = name.data() + prefix_text.size();
+      const char* last = name.data() + name.size();
+      std::int32_t count = 0;
+      const auto [end, error] = std::from_chars(first, last, count);
+      if (error == std::errc() && end == last && count >= 1 &&
+          count <= k_max_chain_count) {
+        return build(count);
+      }
     }
   }
   throw InvalidArgument("unknown gadget '" + name + "' (try --list-gadgets)");

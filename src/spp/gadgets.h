@@ -59,14 +59,18 @@ SppInstance good_gadget_chain(std::int32_t count);
 /// incremental re-checks are benchmarked on.
 SppInstance bad_gadget_chain(std::int32_t count);
 
+/// Largest N gadget_by_name accepts in "good-chain-N" / "bad-chain-N".
+inline constexpr std::int32_t k_max_chain_count = 256;
+
 /// The names gadget_by_name accepts (display order). The two chain
 /// families appear by their documented spelling ("good-chain-N",
-/// "bad-chain-N"); any positive N is valid.
+/// "bad-chain-N"); N is a decimal in 1..k_max_chain_count.
 const std::vector<std::string>& gadget_names();
 
 /// Builds a library gadget from its CLI/wire name: good, bad, disagree,
 /// ibgp-figure3, ibgp-figure3-fixed, good-chain-N, bad-chain-N. Throws
-/// fsr::InvalidArgument for anything else — the one lookup shared by
+/// fsr::InvalidArgument for anything else (including a chain count with
+/// trailing bytes or beyond k_max_chain_count) — the one lookup shared by
 /// fsr_repair, fsr_serve, and the scenario sources.
 SppInstance gadget_by_name(const std::string& name);
 

@@ -236,12 +236,13 @@ TEST(Cache, OutcomesRoundTripThroughSerialization) {
   std::size_t round_tripped = 0;
   for (ScenarioResult& result : report.results) {
     if (result.outcome == nullptr) continue;
-    // v5 records carry no per-check Yices script; the same body under the
-    // v4 header (which had one) is refused, not misread.
+    // v6 records carry no per-check Yices script; the same body under the
+    // v5 header (whose cores came from another engine) is refused, not
+    // misread.
     const std::string record = serialize_outcome(*result.outcome);
-    ASSERT_EQ(record.rfind("fsr-outcome v5\n", 0), 0u) << result.id;
+    ASSERT_EQ(record.rfind("fsr-outcome v6\n", 0), 0u) << result.id;
     EXPECT_EQ(record.find("check.script"), std::string::npos) << result.id;
-    EXPECT_EQ(deserialize_outcome("fsr-outcome v4" +
+    EXPECT_EQ(deserialize_outcome("fsr-outcome v5" +
                                   record.substr(record.find('\n'))),
               nullptr)
         << result.id;
@@ -315,7 +316,7 @@ TEST(Cache, CorruptedDiskEntriesDegradeToMisses) {
       vandalisms = {
           [](const std::string&) { return "fsr-outcome v1\ngarbage"; },
           [](const std::string& record) {
-            return "fsr-outcome v4" + record.substr(record.find('\n'));
+            return "fsr-outcome v5" + record.substr(record.find('\n'));
           },
       };
   for (const auto& vandalise : vandalisms) {

@@ -288,9 +288,11 @@ TEST(SafetyAnalyzer, GadgetLibraryCoresAreMinimal) {
 }
 
 // The incremental session must agree with the per-call analyzer on every
-// standard case: same verdicts, same core provenance.
+// standard case and on seeded random instances (the wire's
+// {"random": {"seed": s}}): same verdicts, same core provenance — the core
+// analyze-safety reports is the initial core repair starts from.
 TEST(IncrementalSession, AgreesWithAnalyzer) {
-  const std::vector<algebra::AlgebraPtr> algebras = {
+  std::vector<algebra::AlgebraPtr> algebras = {
       algebra::gao_rexford_guideline_a(),
       spp::algebra_from_spp(spp::good_gadget()),
       spp::algebra_from_spp(spp::bad_gadget()),
@@ -298,6 +300,10 @@ TEST(IncrementalSession, AgreesWithAnalyzer) {
       spp::algebra_from_spp(spp::ibgp_figure3_gadget()),
       spp::algebra_from_spp(spp::ibgp_figure3_fixed()),
   };
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    algebras.push_back(spp::algebra_from_spp(campaign::random_spp_instance(
+        "random-" + std::to_string(seed), seed, campaign::RandomSppSweep{})));
+  }
   for (const auto& algebra : algebras) {
     const MonotonicityReport analyzed = SafetyAnalyzer().check_monotonicity(
         *algebra, MonotonicityMode::strict);

@@ -201,6 +201,19 @@ TEST(Wire, SchemaViolationsThrow) {
   EXPECT_THROW(
       wire::parse_request(R"({"kind": "repair", "gadget": "no-such"})"),
       InvalidArgument);
+  // Chain counts are all digits and at most spp::k_max_chain_count: a
+  // count with trailing bytes names no gadget, and an overflowing or huge
+  // count would pin a worker building an enormous chain.
+  for (const char* name :
+       {"bad-chain-99999999999", "bad-chain-3000000", "bad-chain-12abc",
+        "bad-chain-257", "good-chain-0", "bad-chain--1", "bad-chain-"}) {
+    EXPECT_THROW(wire::parse_request(std::string(R"({"kind": "repair", )") +
+                                     R"("gadget": ")" + name + R"("})"),
+                 InvalidArgument)
+        << name;
+  }
+  EXPECT_NO_THROW(wire::parse_request(
+      R"({"kind": "repair", "gadget": "bad-chain-256"})"));
   EXPECT_THROW(wire::parse_request(
                    R"({"kind": "repair", "gadget": "bad", "policy": "backup"})"),
                InvalidArgument);

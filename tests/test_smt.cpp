@@ -333,20 +333,6 @@ TEST(Context, CheckSubsetIgnoresOtherAssertions) {
   EXPECT_EQ(ctx.check().status, Status::unsat);
 }
 
-TEST(Context, UnminimizedCoreStillConflicting) {
-  Context ctx;
-  ctx.set_minimize_cores(false);
-  ctx.declare_variable("a");
-  ctx.declare_variable("b");
-  ctx.assert_less("a", "b");
-  ctx.assert_less("b", "a");
-  ctx.assert_less("a", "a");
-  const CheckResult r = ctx.check();
-  ASSERT_EQ(r.status, Status::unsat);
-  // Without minimisation we still get a genuine conflict set.
-  EXPECT_EQ(ctx.check_subset(r.unsat_core).status, Status::unsat);
-}
-
 // ------------------------------------- incremental solving and scopes --
 
 // Regression for the AssertionId stability contract: ids survive
@@ -485,9 +471,10 @@ TEST(Context, IncrementalRebuildAfterBaseRetraction) {
   EXPECT_GE(ctx.incremental_rebuild_count(), 2u);
 }
 
-// Property sweep: incremental assumption checks agree with from-scratch
-// subset checks on random systems, models satisfy the checked constraints,
-// and unsat cores are genuine minimal conflicts.
+// Property sweep against the Bellman-Ford referee: on random systems whose
+// retracted atoms serve as assumptions, check() and check(assumptions)
+// agree with solve_difference_system on the verdict, return exactly its
+// model on sat, and report cores the referee finds unsat and minimal.
 class IncrementalContextProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(IncrementalContextProperty, AgreesWithFromScratch) {
@@ -523,50 +510,57 @@ TEST_P(IncrementalContextProperty, AgreesWithFromScratch) {
     }
   }
 
+  // The referee's system for a set of atoms: variable i is v<i>, 0 is the
+  // zero variable, and every variable carries the positivity type bound.
+  const auto referee = [&](const std::vector<AssertionId>& ids) {
+    std::vector<DiffConstraint> cs;
+    for (int v = 1; v <= n_vars; ++v) cs.push_back({0, v, -1, -1});
+    for (const AssertionId id : ids) {
+      const Atom& atom = atoms[static_cast<std::size_t>(id)];
+      cs.push_back({atom.lhs, atom.rhs, atom.rel == 0 ? -1 : 0, id});
+      if (atom.rel == 2) cs.push_back({atom.rhs, atom.lhs, 0, id});
+    }
+    return solve_difference_system(n_vars + 1, cs);
+  };
+  const auto expect_agrees = [&](const CheckResult& r,
+                                 const std::vector<AssertionId>& checked,
+                                 const std::string& entry) {
+    const DiffResult expected = referee(checked);
+    ASSERT_EQ(r.status == Status::sat, expected.satisfiable) << entry;
+    if (expected.satisfiable) {
+      for (int v = 1; v <= n_vars; ++v) {
+        EXPECT_EQ(r.model.at("v" + std::to_string(v)),
+                  expected.model[static_cast<std::size_t>(v)])
+            << entry << ": v" << v;
+      }
+      return;
+    }
+    EXPECT_FALSE(referee(r.unsat_core).satisfiable)
+        << entry << ": core is satisfiable";
+    for (std::size_t i = 0; i < r.unsat_core.size(); ++i) {
+      std::vector<AssertionId> without;
+      for (std::size_t j = 0; j < r.unsat_core.size(); ++j) {
+        if (j != i) without.push_back(r.unsat_core[j]);
+      }
+      EXPECT_TRUE(referee(without).satisfiable)
+          << entry << ": core is not minimal";
+    }
+  };
+
   for (int round = 0; round < 6; ++round) {
     std::vector<AssertionId> assumptions;
     for (const AssertionId id : retractable) {
       if (rng() % 2 == 0) assumptions.push_back(id);
     }
-    const CheckResult incremental = ctx.check(assumptions);
-
-    std::vector<AssertionId> subset;
+    std::vector<AssertionId> checked;
     for (const Atom& atom : atoms) {
-      if (ctx.is_active(atom.id)) subset.push_back(atom.id);
+      if (ctx.is_active(atom.id)) checked.push_back(atom.id);
     }
-    subset.insert(subset.end(), assumptions.begin(), assumptions.end());
-    const CheckResult scratch = ctx.check_subset(subset);
-
-    ASSERT_EQ(incremental.status, scratch.status) << "round " << round;
-    if (incremental.status == Status::sat) {
-      // The incremental model (unlike check()'s) is any feasible witness;
-      // verify it satisfies every checked atom exactly.
-      const std::set<AssertionId> checked(subset.begin(), subset.end());
-      for (const Atom& atom : atoms) {
-        if (!checked.contains(atom.id)) continue;
-        const auto l = incremental.model.at("v" + std::to_string(atom.lhs));
-        const auto r = incremental.model.at("v" + std::to_string(atom.rhs));
-        if (atom.rel == 0) {
-          EXPECT_LT(l, r);
-        } else if (atom.rel == 1) {
-          EXPECT_LE(l, r);
-        } else {
-          EXPECT_EQ(l, r);
-        }
-        EXPECT_GE(l, 1);  // positivity type constraint
-      }
-    } else {
-      EXPECT_EQ(ctx.check_subset(incremental.unsat_core).status,
-                Status::unsat);
-      for (std::size_t i = 0; i < incremental.unsat_core.size(); ++i) {
-        std::vector<AssertionId> without;
-        for (std::size_t j = 0; j < incremental.unsat_core.size(); ++j) {
-          if (j != i) without.push_back(incremental.unsat_core[j]);
-        }
-        EXPECT_EQ(ctx.check_subset(without).status, Status::sat)
-            << "incremental core is not minimal";
-      }
-    }
+    expect_agrees(ctx.check(), checked, "check() round " +
+                                            std::to_string(round));
+    checked.insert(checked.end(), assumptions.begin(), assumptions.end());
+    expect_agrees(ctx.check(assumptions), checked,
+                  "check(assumptions) round " + std::to_string(round));
   }
 }
 
