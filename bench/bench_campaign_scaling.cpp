@@ -20,7 +20,7 @@ std::vector<std::unique_ptr<ScenarioSource>> workload() {
   RocketfuelSweep rocketfuel;
   rocketfuel.seeds = {1, 2, 3, 4};
   sources.push_back(rocketfuel_source(std::move(rocketfuel)));
-  RandomSppSweep random_sweep;
+  fsr::spp::RandomSppSweep random_sweep;
   random_sweep.count = 16;
   random_sweep.max_nodes = 7;
   sources.push_back(random_spp_source(random_sweep));

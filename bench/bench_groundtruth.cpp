@@ -20,9 +20,9 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "campaign/scenario_source.h"
 #include "groundtruth/engine.h"
 #include "spp/gadgets.h"
+#include "spp/random_instance.h"
 
 namespace {
 
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   {
     // Fuzz sizes the enumerator cannot finish: ~12 nodes with dense
     // rankings put the state space far beyond the 2^22 budget.
-    campaign::RandomSppSweep sweep;
+    spp::RandomSppSweep sweep;
     sweep.min_nodes = 12;
     sweep.max_nodes = 12;
     sweep.extra_edge_probability = 0.4;
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 3; ++i) {
       workload.emplace_back(
           "fuzz-large-" + std::to_string(i),
-          campaign::random_spp_instance("fuzz-large-" + std::to_string(i),
+          spp::random_spp_instance("fuzz-large-" + std::to_string(i),
                                         k_seed + static_cast<std::uint64_t>(i),
                                         sweep));
     }

@@ -23,12 +23,12 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "campaign/scenario_source.h"
 #include "fsr/incremental_session.h"
 #include "groundtruth/stable_sat.h"
 #include "repair/edit.h"
 #include "repair/repair_engine.h"
 #include "spp/gadgets.h"
+#include "spp/random_instance.h"
 #include "spp/translate.h"
 
 namespace {
@@ -75,13 +75,13 @@ int main(int argc, char** argv) {
                           spp::bad_gadget_chain(length));
   }
   {
-    campaign::RandomSppSweep sweep;
+    spp::RandomSppSweep sweep;
     sweep.extra_edge_probability = 0.5;
     sweep.paths_per_node = 4;
     for (int i = 0; i < 4; ++i) {
       workload.emplace_back(
           "fuzz-" + std::to_string(i),
-          campaign::random_spp_instance("fuzz-" + std::to_string(i),
+          spp::random_spp_instance("fuzz-" + std::to_string(i),
                                         k_seed + static_cast<std::uint64_t>(i),
                                         sweep));
     }

@@ -71,6 +71,11 @@ struct SymbolicSpec {
   std::vector<AdditiveTemplate> additive_templates;
 };
 
+/// Canonical text of a spec — signatures, preference constraints,
+/// extension entries, and additive templates in spec order — for content
+/// identity. Excludes the algebra name and every provenance text.
+std::string canonical_spec(const SymbolicSpec& spec);
+
 /// Abstract routing algebra. Implementations are immutable after
 /// construction and therefore freely shareable across threads.
 class RoutingAlgebra {

@@ -1,6 +1,7 @@
 #include "api/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -263,12 +264,15 @@ class Parser {
     if (literal.empty() || literal == "-") fail("bad number");
     const double value = std::strtod(literal.c_str(), nullptr);
     std::uint64_t integer = 0;
-    if (integral && literal[0] != '-') {
-      integer = std::strtoull(literal.c_str(), nullptr, 10);
-    } else if (integral) {
-      integral = false;  // negative integers: callers only take u64
+    if (integral) {
+      // Negative integers and literals past 2^64 - 1 are not integral to
+      // callers, which only take u64: as_u64 refuses them rather than
+      // answering for a clamped value.
+      const char* end = literal.data() + literal.size();
+      const auto [ptr, ec] = std::from_chars(literal.data(), end, integer);
+      integral = ec == std::errc() && ptr == end;
     }
-    return Value::make_number(value, integral, integer);
+    return Value::make_number(value, integral, integral ? integer : 0);
   }
 
   const std::string& text_;

@@ -1,19 +1,24 @@
 // Minimal JSON value model + recursive-descent parser for the fsr_serve
-// wire protocol (one request object per input line).
+// wire protocol (one request object per input line) and the campaign
+// cache's outcome records (campaign/cache.cpp).
 //
 // Scope: full JSON syntax (objects, arrays, strings with escapes, numbers,
 // booleans, null) with object member ORDER PRESERVED; numbers are held as
-// doubles plus the exact integer when the literal is integral, which is
-// all the wire layer needs (ids, seeds, small budgets). This is not a
-// streaming parser: inputs are single request lines, and any syntax error
-// throws fsr::InvalidArgument with a byte offset so the CLI can report the
-// offending line precisely. Arrays and objects nest at most k_max_depth
-// levels deep, so no line, however hostile, can exhaust the stack.
+// doubles plus the exact integer when the literal is a non-negative
+// integer that fits in 64 bits, which is all the wire layer needs (ids,
+// seeds, small budgets). A larger integer literal is not integral, so
+// as_u64 refuses it instead of answering for a clamped value. This is not
+// a streaming parser: inputs are single request lines or record files,
+// and any syntax error throws fsr::InvalidArgument with a byte offset so
+// the CLI can report the offending line precisely. Arrays and objects
+// nest at most k_max_depth levels deep, so no input, however hostile, can
+// exhaust the stack.
 //
-// Rendering stays out of scope on purpose: responses are rendered by
-// purpose-built writers (wire.cpp) because byte-stable output — field
-// order, number formatting — is part of the service contract, and a
-// generic value printer would make those choices implicit.
+// Rendering stays out of scope on purpose: responses and reports are
+// rendered by purpose-built writers (wire.cpp, campaign/report.cpp)
+// because byte-stable output — field order, number formatting — is part
+// of the service contract, and a generic value printer would make those
+// choices implicit.
 #ifndef FSR_API_JSON_H
 #define FSR_API_JSON_H
 
@@ -37,7 +42,7 @@ class Value {
   bool as_bool(const std::string& where) const;
   double as_number(const std::string& where) const;
   /// The number as a non-negative integer; throws when the literal was
-  /// fractional, negative, or not a number.
+  /// fractional, negative, above 2^64 - 1, or not a number.
   std::uint64_t as_u64(const std::string& where) const;
   const std::string& as_string(const std::string& where) const;
   const std::vector<Value>& as_array(const std::string& where) const;

@@ -1,7 +1,7 @@
 #include "api/request.h"
 
-#include "campaign/cache.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace fsr::api {
 
@@ -124,24 +124,24 @@ namespace {
 std::string payload_canonical(const Request& request) {
   struct Visitor {
     std::string operator()(const AnalyzeSafetyRequest& req) const {
-      if (req.spp != nullptr) return campaign::canonical_spp(*req.spp);
+      if (req.spp != nullptr) return spp::canonical_spp(*req.spp);
       return "alg|" + req.algebra->name() + "|" +
-             campaign::canonical_spec(req.algebra->symbolic());
+             algebra::canonical_spec(req.algebra->symbolic());
     }
     std::string operator()(const GroundTruthRequest& req) const {
-      return campaign::canonical_spp(*req.spp);
+      return spp::canonical_spp(*req.spp);
     }
     std::string operator()(const RepairRequest& req) const {
-      return campaign::canonical_spp(*req.spp);
+      return spp::canonical_spp(*req.spp);
     }
     std::string operator()(const EmulateRequest& req) const {
-      if (req.spp != nullptr) return campaign::canonical_spp(*req.spp);
+      if (req.spp != nullptr) return spp::canonical_spp(*req.spp);
       return "alg|" + req.algebra->name() + "|" +
-             campaign::canonical_spec(req.algebra->symbolic()) + "|topo|" +
-             campaign::canonical_topology(*req.topology);
+             algebra::canonical_spec(req.algebra->symbolic()) + "|topo|" +
+             topology::canonical_topology(*req.topology);
     }
     std::string operator()(const SimulateRequest& req) const {
-      return campaign::canonical_spp(*req.spp);
+      return spp::canonical_spp(*req.spp);
     }
     std::string operator()(const StatsRequest&) const { return std::string(); }
     std::string operator()(const DebugRequest&) const { return std::string(); }
@@ -159,7 +159,7 @@ std::string fingerprint(const Request& request) {
       std::holds_alternative<DebugRequest>(request)) {
     return std::string();
   }
-  return campaign::content_digest(payload_canonical(request));
+  return util::content_digest(payload_canonical(request));
 }
 
 }  // namespace fsr::api

@@ -138,7 +138,9 @@ void validate(const Request& request);
 /// 16-hex content digest of the request's payload — kind-free and
 /// seed-free, so a ground-truth request and a repair request over the same
 /// instance share one fingerprint and hence one warm session-cache entry.
-/// Built from the campaign layer's canonical forms (campaign/cache.h).
+/// Built from the canonical forms beside each payload type
+/// (spp::canonical_spp, algebra::canonical_spec,
+/// topology::canonical_topology) and util::content_digest.
 std::string fingerprint(const Request& request);
 
 /// Lifetime counters of one AnalysisService (deltas since construction,

@@ -40,10 +40,10 @@
 
 #include "api/request.h"
 #include "api/session_cache.h"
+#include "api/shard_router.h"
 #include "fsr/emulation.h"
 #include "fsr/safety_analyzer.h"
 #include "groundtruth/engine.h"
-#include "netserve/shard_router.h"
 #include "obs/metrics.h"
 #include "repair/repair_engine.h"
 #include "sim/simulator.h"
@@ -53,11 +53,11 @@ namespace fsr::api {
 /// How submit() picks the worker for a request.
 enum class SchedulePolicy {
   /// Fingerprint-affinity sharding (the default): the request's content
-  /// fingerprint is consistent-hashed onto a worker shard
-  /// (netserve::ShardRouter), so the same instance always lands on the
-  /// worker already holding its warm StableSatSession /
-  /// IncrementalSafetySession. This is what keeps the warm hit rate from
-  /// being diluted by concurrency; response bytes never depend on it.
+  /// fingerprint is consistent-hashed onto a worker shard (ShardRouter),
+  /// so the same instance always lands on the worker already holding its
+  /// warm StableSatSession / IncrementalSafetySession. This is what keeps
+  /// the warm hit rate from being diluted by concurrency; response bytes
+  /// never depend on it.
   affinity,
   /// Blind rotation over the workers, ignoring the fingerprint — the
   /// pre-netserve submission behaviour, kept as the measurable ablation
@@ -167,7 +167,7 @@ class AnalysisService {
                    SessionCache& cache, std::size_t worker);
 
   ServiceOptions options_;
-  netserve::ShardRouter router_;
+  ShardRouter router_;
 
   // One queue per worker: affinity routing is a push-time decision, and a
   // worker only ever drains its own queue (sessions stay single-owner).

@@ -1,10 +1,10 @@
-#include "netserve/shard_router.h"
+#include "api/shard_router.h"
 
 #include <algorithm>
 
 #include "util/strings.h"
 
-namespace fsr::netserve {
+namespace fsr::api {
 
 namespace {
 
@@ -48,4 +48,4 @@ std::size_t ShardRouter::shard_of(std::string_view fingerprint) const noexcept {
   return static_cast<std::size_t>(it->second);
 }
 
-}  // namespace fsr::netserve
+}  // namespace fsr::api

@@ -1,5 +1,5 @@
 // ShardRouter: consistent hashing of instance fingerprints onto worker
-// shards — the scheduling half of the netserve tentpole.
+// shards — how AnalysisService's affinity policy picks a worker queue.
 //
 // The AnalysisService keeps one warm SessionCache per worker, so WHERE a
 // request runs decides whether it hits warm solver state. Blind pool
@@ -29,8 +29,8 @@
 //
 // Thread-safety: immutable after construction; shard_of is const and
 // lock-free, safe from any thread.
-#ifndef FSR_NETSERVE_SHARD_ROUTER_H
-#define FSR_NETSERVE_SHARD_ROUTER_H
+#ifndef FSR_API_SHARD_ROUTER_H
+#define FSR_API_SHARD_ROUTER_H
 
 #include <cstddef>
 #include <cstdint>
@@ -38,7 +38,7 @@
 #include <utility>
 #include <vector>
 
-namespace fsr::netserve {
+namespace fsr::api {
 
 class ShardRouter {
  public:
@@ -59,6 +59,6 @@ class ShardRouter {
   std::vector<std::pair<std::uint64_t, std::uint32_t>> ring_;
 };
 
-}  // namespace fsr::netserve
+}  // namespace fsr::api
 
-#endif  // FSR_NETSERVE_SHARD_ROUTER_H
+#endif  // FSR_API_SHARD_ROUTER_H

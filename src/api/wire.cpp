@@ -5,9 +5,9 @@
 
 #include "algebra/standard_policies.h"
 #include "api/json.h"
-#include "campaign/scenario_source.h"
 #include "obs/metrics.h"
 #include "spp/gadgets.h"
+#include "spp/random_instance.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -62,7 +62,7 @@ spp::SppInstance inline_spp(const json::Value& value) {
 spp::SppInstance random_spp(const json::Value& value) {
   const json::Value* seed = value.find("seed");
   if (seed == nullptr) throw InvalidArgument("random payload needs a seed");
-  campaign::RandomSppSweep sweep;
+  spp::RandomSppSweep sweep;
   const auto u64_field = [&](const char* key, std::int32_t& out) {
     if (const json::Value* field = value.find(key)) {
       constexpr std::int32_t k_max = std::numeric_limits<std::int32_t>::max();
@@ -80,7 +80,7 @@ spp::SppInstance random_spp(const json::Value& value) {
   u64_field("paths_per_node", sweep.paths_per_node);
   u64_field("max_path_length", sweep.max_path_length);
   const std::uint64_t seed_value = seed->as_u64("random.seed");
-  return campaign::random_spp_instance(
+  return spp::random_spp_instance(
       "random-" + std::to_string(seed_value), seed_value, sweep);
 }
 

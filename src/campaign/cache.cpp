@@ -5,89 +5,19 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-
-#include "groundtruth/engine.h"
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "api/json.h"
+#include "campaign/report.h"
+#include "groundtruth/engine.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 #include "util/strings.h"
 
 namespace fsr::campaign {
-namespace {
-
-void append_path(std::string& out, const spp::Path& path) {
-  out += spp::path_name(path);
-}
-
-const char* pref_rel_spelling(algebra::PrefRel rel) {
-  switch (rel) {
-    case algebra::PrefRel::strictly_better:
-      return "<";
-    case algebra::PrefRel::equal:
-      return "=";
-    case algebra::PrefRel::better_or_equal:
-      return "<=";
-  }
-  return "<";
-}
-
-}  // namespace
-
-std::string canonical_spp(const spp::SppInstance& instance) {
-  std::string out = "dest=" + instance.destination() + ";edges=";
-  for (const auto& [u, v] : instance.edges()) {
-    out += u + "~" + v + ",";
-  }
-  out += ";paths=";
-  for (const std::string& node : instance.nodes()) {
-    out += node + ":";
-    for (const spp::Path& path : instance.permitted(node)) {
-      append_path(out, path);
-      out += ",";
-    }
-    out += ";";
-  }
-  return out;
-}
-
-std::string canonical_spec(const algebra::SymbolicSpec& spec) {
-  std::string out = "sigs=";
-  for (const std::string& sig : spec.signatures) out += sig + ",";
-  out += ";prefs=";
-  for (const auto& pref : spec.preferences) {
-    out += pref.lhs + pref_rel_spelling(pref.rel) + pref.rhs + ",";
-  }
-  out += ";exts=";
-  for (const auto& ext : spec.extensions) {
-    out += ext.label + "(+)" + ext.from_sig + "=" + ext.to_sig + ",";
-  }
-  out += ";templates=";
-  for (const auto& tmpl : spec.additive_templates) {
-    out += std::to_string(tmpl.delta) + ",";
-  }
-  return out;
-}
-
-std::string canonical_topology(const topology::Topology& topology) {
-  std::string out = "dest=" + topology.destination + ";nodes=";
-  for (const std::string& node : topology.nodes) out += node + ",";
-  out += ";links=";
-  for (const auto& link : topology.links) {
-    out += link.u + "~" + link.v + "[" + link.label_uv.to_string() + "/" +
-           link.label_vu.to_string() + "]" +
-           std::to_string(link.net_config.bandwidth_mbps) + "mbps," +
-           std::to_string(link.net_config.latency) + "us," +
-           std::to_string(link.net_config.max_jitter) + "j;";
-  }
-  out += ";domains=";
-  for (const auto& [node, domain] : topology.domain_of) {
-    out += node + "=" + domain + ",";
-  }
-  return out;
-}
 
 std::string scenario_cache_key(const Scenario& scenario) {
   std::string out = to_string(scenario.kind);
@@ -99,11 +29,13 @@ std::string scenario_cache_key(const Scenario& scenario) {
     out += "|seed=" + std::to_string(scenario.seed);
   }
   if (scenario.spp) {
-    out += "|spp|" + canonical_spp(*scenario.spp);
+    out += "|spp|" + spp::canonical_spp(*scenario.spp);
   } else if (scenario.algebra) {
     out += "|alg|" + scenario.algebra->name() + "|" +
-           canonical_spec(scenario.algebra->symbolic());
-    if (scenario.topology) out += "|topo|" + canonical_topology(*scenario.topology);
+           algebra::canonical_spec(scenario.algebra->symbolic());
+    if (scenario.topology) {
+      out += "|topo|" + topology::canonical_topology(*scenario.topology);
+    }
   } else {
     throw InvalidArgument("scenario '" + scenario.id +
                           "' carries neither an SPP instance nor an algebra");
@@ -165,415 +97,205 @@ std::string scenario_cache_key(const Scenario& scenario, bool attempt_repair,
   return out;
 }
 
-std::string content_digest(const std::string& canonical) {
-  std::uint64_t hash = util::fnv1a64(canonical);
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = digits[hash & 0xf];
-    hash >>= 4;
-  }
-  return out;
-}
-
 // ------------------------------------------------------- disk persistence --
 //
-// One outcome per file, as a versioned line-oriented record: every line is
-// "<field> <value>" with backslash/newline escaping, exactly one value per
-// line (multi-valued fields write a count line followed by that many value
-// lines). The format is append-only versioned: readers reject records
-// whose header they do not know, so stale caches degrade to misses.
+// One outcome per file: a header line naming the format version, then one
+// JSON object holding the full cache key, the outcome's report fields
+// (append_outcome_json) and wall_ms. Readers reject records whose header
+// they do not know, so stale caches degrade to misses.
 
 namespace {
 
-// v6: safety cores come from the one incremental engine, so a strict
-// check's core can differ from the one a v5 record holds for the same
-// scenario; the bump keeps warm runs equal to cold ones. v5: safety checks
-// dropped check.script, the per-check Yices script that
-// no response or report renders (SafetyAnalyzer::emit_yices_script renders
-// it on demand). v4: the simulation payload gained sim.suppression and
-// sim.cutoff (the suppression-policy + budget-cutoff PR), and simulation
-// cache keys gained the sim-config marker — the version bump retires every
-// v3 sim record, whose keys could alias across sim configurations. v3:
-// outcomes gained the simulation payload (has_sim + sim.* fields) and the
-// "simulation" kind tag; v2 lacked both. v2: RepairSummary gained
-// oracle_budget (the incremental-oracle PR). Records with an older header
-// fail the check and degrade to misses.
-constexpr const char* k_record_header = "fsr-outcome v6";
+// v7: the record is the report's own outcome JSON; models, narratives,
+// emulation series and routes, simulation fixed points and core
+// constraint texts are no longer stored. v6: safety cores come from the
+// one incremental engine, so a strict check's core can differ from the
+// one a v5 record holds for the same scenario. v5: safety checks dropped
+// the per-check Yices script. v4: the simulation payload gained its
+// suppression policy and budget cutoff, and simulation cache keys gained
+// the sim-config marker. v3: outcomes gained the simulation payload. v2:
+// RepairSummary gained oracle_budget. Records with another header fail
+// the check and degrade to misses.
+constexpr const char* k_record_header = "fsr-outcome v7";
 
-std::string escape_value(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        out += c;
-    }
-  }
+using api::json::Value;
+
+std::string encode_record(const std::string& key,
+                          const ScenarioOutcome& outcome) {
+  std::string out = k_record_header;
+  out += "\n{\"key\": " + util::json_quoted(key);
+  append_outcome_json(out, outcome);
+  char wall_ms[64];
+  std::snprintf(wall_ms, sizeof(wall_ms), "%.17g", outcome.wall_ms);
+  out += ", \"wall_ms\": ";
+  out += wall_ms;  // %.17g round-trips IEEE-754
+  out += "}\n";
   return out;
 }
 
-std::string unescape_value(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] != '\\' || i + 1 == text.size()) {
-      out += text[i];
-      continue;
-    }
-    const char next = text[++i];
-    out += next == 'n' ? '\n' : next == 'r' ? '\r' : next;
+const Value& field(const Value& object, const char* name) {
+  const Value* value = object.find(name);
+  if (value == nullptr) {
+    throw InvalidArgument(std::string("record lacks ") + name);
   }
-  return out;
+  return *value;
 }
 
-std::string format_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);  // round-trips IEEE-754
-  return buf;
+std::string optional_text(const Value& object, const char* name) {
+  const Value* value = object.find(name);
+  return value == nullptr ? std::string() : value->as_string(name);
 }
 
-class RecordWriter {
- public:
-  void field(const char* name, const std::string& value) {
-    out_ += name;
-    out_ += ' ';
-    out_ += escape_value(value);
-    out_ += '\n';
-  }
-  void field(const char* name, bool value) {
-    field(name, std::string(value ? "1" : "0"));
-  }
-  void field(const char* name, double value) {
-    field(name, format_double(value));
-  }
-  void field(const char* name, std::uint64_t value) {
-    field(name, std::to_string(value));
-  }
-  void field(const char* name, std::int64_t value) {
-    field(name, std::to_string(value));
-  }
-
-  std::string take() { return std::move(out_); }
-
- private:
-  std::string out_ = std::string(k_record_header) + "\n";
-};
-
-/// Sequential reader over "<field> <value>" lines. Every getter checks the
-/// expected field name; any mismatch poisons the record (ok() false), so a
-/// truncated or corrupted file is rejected as a whole.
-class RecordReader {
- public:
-  explicit RecordReader(const std::string& text) : stream_(text) {
-    std::string header;
-    if (!std::getline(stream_, header) || header != k_record_header) {
-      ok_ = false;
-    }
-  }
-
-  bool ok() const noexcept { return ok_; }
-
-  std::string text(const char* name) {
-    std::string line;
-    if (!ok_ || !std::getline(stream_, line)) {
-      ok_ = false;
-      return {};
-    }
-    const std::size_t space = line.find(' ');
-    if (space == std::string::npos || line.compare(0, space, name) != 0) {
-      ok_ = false;
-      return {};
-    }
-    return unescape_value(line.substr(space + 1));
-  }
-  bool boolean(const char* name) { return text(name) == "1"; }
-  double real(const char* name) {
-    const std::string value = text(name);
-    return ok_ ? std::strtod(value.c_str(), nullptr) : 0.0;
-  }
-  std::uint64_t u64(const char* name) {
-    const std::string value = text(name);
-    return ok_ ? std::strtoull(value.c_str(), nullptr, 10) : 0;
-  }
-  std::int64_t i64(const char* name) {
-    const std::string value = text(name);
-    return ok_ ? std::strtoll(value.c_str(), nullptr, 10) : 0;
-  }
-
- private:
-  std::istringstream stream_;
-  bool ok_ = true;
-};
-
-void write_safety(RecordWriter& writer, const SafetyReport& safety) {
-  writer.field("safety.verdict",
-               std::string(safety.verdict == SafetyVerdict::safe
-                               ? "safe"
-                               : "not_provably_safe"));
-  writer.field("safety.narrative", safety.narrative);
-  writer.field("safety.checks", safety.checks.size());
-  for (const MonotonicityReport& check : safety.checks) {
-    writer.field("check.algebra", check.algebra_name);
-    writer.field("check.mode",
-                 std::string(check.mode == MonotonicityMode::strict
-                                 ? "strict"
-                                 : "plain"));
-    writer.field("check.holds", check.holds);
-    writer.field("check.pref", check.preference_constraint_count);
-    writer.field("check.mono", check.monotonicity_constraint_count);
-    writer.field("check.solve_ms", check.solve_time_ms);
-    writer.field("check.model", check.model.values.size());
-    for (const auto& [name, value] : check.model.values) {
-      writer.field("model.name", name);
-      writer.field("model.value", value);
-    }
-    writer.field("check.core", check.unsat_core.size());
-    for (const ConstraintProvenance& entry : check.unsat_core) {
-      writer.field("core.kind",
-                   std::string(entry.kind ==
-                                       ConstraintProvenance::Kind::preference
-                                   ? "preference"
-                                   : "monotonicity"));
-      writer.field("core.desc", entry.description);
-      writer.field("core.constraint", entry.constraint);
-    }
-  }
+/// True for `yes`, false for `no`; any other spelling is a malformed
+/// record.
+bool either(const std::string& text, const char* yes, const char* no) {
+  if (text == yes) return true;
+  if (text == no) return false;
+  throw InvalidArgument("record has unknown value '" + text + "'");
 }
 
-bool read_safety(RecordReader& reader, SafetyReport& safety) {
-  const std::string verdict = reader.text("safety.verdict");
-  safety.verdict = verdict == "safe" ? SafetyVerdict::safe
-                                     : SafetyVerdict::not_provably_safe;
-  safety.narrative = reader.text("safety.narrative");
-  const std::uint64_t checks = reader.u64("safety.checks");
-  if (!reader.ok() || checks > 1u << 16) return false;
-  safety.checks.resize(checks);
-  for (MonotonicityReport& check : safety.checks) {
-    check.algebra_name = reader.text("check.algebra");
-    check.mode = reader.text("check.mode") == "strict"
+SafetyReport read_safety(const std::string& verdict, const Value& checks) {
+  SafetyReport safety;
+  safety.verdict = either(verdict, "safe", "not_provably_safe")
+                       ? SafetyVerdict::safe
+                       : SafetyVerdict::not_provably_safe;
+  for (const Value& item : checks.as_array("checks")) {
+    MonotonicityReport check;
+    check.algebra_name = field(item, "algebra").as_string("algebra");
+    check.mode = either(field(item, "mode").as_string("mode"), "strict",
+                        "plain")
                      ? MonotonicityMode::strict
                      : MonotonicityMode::plain;
-    check.holds = reader.boolean("check.holds");
+    check.holds = field(item, "holds").as_bool("holds");
     check.preference_constraint_count =
-        static_cast<std::size_t>(reader.u64("check.pref"));
+        field(item, "preference_constraints").as_u64("preference_constraints");
     check.monotonicity_constraint_count =
-        static_cast<std::size_t>(reader.u64("check.mono"));
-    check.solve_time_ms = reader.real("check.solve_ms");
-    const std::uint64_t model_entries = reader.u64("check.model");
-    if (!reader.ok() || model_entries > 1u << 20) return false;
-    for (std::uint64_t i = 0; i < model_entries; ++i) {
-      const std::string name = reader.text("model.name");
-      check.model.values[name] = reader.i64("model.value");
+        field(item, "monotonicity_constraints")
+            .as_u64("monotonicity_constraints");
+    if (const Value* core = item.find("core")) {
+      for (const Value& entry : core->as_array("core")) {
+        ConstraintProvenance member;
+        member.description = entry.as_string("core");
+        check.unsat_core.push_back(std::move(member));
+      }
     }
-    const std::uint64_t core_entries = reader.u64("check.core");
-    if (!reader.ok() || core_entries > 1u << 20) return false;
-    check.unsat_core.resize(core_entries);
-    for (ConstraintProvenance& entry : check.unsat_core) {
-      entry.kind = reader.text("core.kind") == "preference"
-                       ? ConstraintProvenance::Kind::preference
-                       : ConstraintProvenance::Kind::monotonicity;
-      entry.description = reader.text("core.desc");
-      entry.constraint = reader.text("core.constraint");
+    safety.checks.push_back(std::move(check));
+  }
+  return safety;
+}
+
+repair::RepairSummary read_repair(const Value& block) {
+  repair::RepairSummary repair;
+  repair.attempted = true;  // the runner stores attempted summaries only
+  repair.solver_repaired = field(block, "solver_repaired").as_bool("repair");
+  repair.verified = field(block, "verified").as_bool("repair");
+  repair.ground_truth_mode = optional_text(block, "ground_truth_mode");
+  repair.oracle_budget = optional_text(block, "oracle_budget");
+  repair.edit_count = field(block, "edit_count").as_u64("edit_count");
+  for (const Value& edit : field(block, "edits").as_array("edits")) {
+    repair.edits.push_back(edit.as_string("edit"));
+  }
+  repair.candidates_checked = field(block, "candidates").as_u64("candidates");
+  repair.solver_checks = field(block, "checks").as_u64("checks");
+  repair.error = optional_text(block, "error");
+  return repair;
+}
+
+// A campaign outcome carries at most one of a simulation and an emulation
+// (a scenario has one kind), so their shared field names ("messages",
+// "route_changes") are unambiguous in the record.
+sim::SimResult read_sim(const std::string& verdict, const Value& record) {
+  sim::SimResult sim;
+  sim.converged = verdict == "converged";
+  sim.oscillating = verdict == "oscillating";
+  sim.cutoff = verdict == "cutoff";
+  if (!sim.converged && !sim.oscillating && !sim.cutoff) {
+    throw InvalidArgument("record has unknown simulation verdict");
+  }
+  sim.scenario = field(record, "sim_scenario").as_string("sim_scenario");
+  sim.suppression =
+      field(record, "sim_suppression").as_string("sim_suppression");
+  sim.steps = field(record, "steps").as_u64("steps");
+  sim.ticks = field(record, "ticks").as_u64("ticks");
+  sim.messages = field(record, "messages").as_u64("messages");
+  sim.route_changes = field(record, "route_changes").as_u64("route_changes");
+  if (sim.converged) {
+    sim.convergence_tick =
+        field(record, "convergence_tick").as_u64("convergence_tick");
+    sim.fixed_point_stable =
+        field(record, "fixed_point_stable").as_bool("fixed_point_stable");
+  }
+  if (sim.oscillating) {
+    sim.cycle_length = field(record, "cycle_length").as_u64("cycle_length");
+  }
+  return sim;
+}
+
+EmulationResult read_emulation(const std::string& verdict,
+                               const Value& record) {
+  EmulationResult emu;
+  emu.quiesced = either(verdict, "converged", "diverged");
+  emu.convergence_time = static_cast<net::Time>(
+      field(record, "convergence_time_us").as_u64("convergence_time_us"));
+  emu.end_time = static_cast<net::Time>(
+      field(record, "end_time_us").as_u64("end_time_us"));
+  emu.messages = field(record, "messages").as_u64("messages");
+  emu.bytes = field(record, "bytes").as_u64("bytes");
+  emu.route_changes = field(record, "route_changes").as_u64("route_changes");
+  emu.node_count = field(record, "nodes").as_u64("nodes");
+  return emu;
+}
+
+/// Decodes a record, storing its cache key in `key` when non-null.
+/// Returns nullptr on any malformed input; never throws.
+std::shared_ptr<const ScenarioOutcome> decode_record(const std::string& text,
+                                                     std::string* key) {
+  const std::size_t header_end = text.find('\n');
+  if (header_end == std::string::npos ||
+      text.compare(0, header_end, k_record_header) != 0) {
+    return nullptr;
+  }
+  try {
+    const Value record = api::json::parse(text.substr(header_end + 1));
+    auto outcome = std::make_shared<ScenarioOutcome>();
+    const std::string& stored_key = field(record, "key").as_string("key");
+    outcome->wall_ms = field(record, "wall_ms").as_number("wall_ms");
+    // Each payload block opens right after the verdict it renders with, so
+    // the members are read in order, remembering the latest verdict. The
+    // readers reject the empty verdict a block without one would get.
+    const std::string no_verdict;
+    const std::string* verdict = &no_verdict;
+    for (const auto& [name, value] : record.as_object("record")) {
+      if (name == "verdict") {
+        verdict = &value.as_string("verdict");
+      } else if (name == "error") {
+        outcome->error = value.as_string("error");
+      } else if (name == "checks") {
+        outcome->safety = read_safety(*verdict, value);
+      } else if (name == "repair") {
+        outcome->repair = read_repair(value);
+      } else if (name == "sim_scenario") {
+        outcome->sim = read_sim(*verdict, record);
+      } else if (name == "convergence_time_us") {
+        outcome->emulation = read_emulation(*verdict, record);
+      }
     }
+    if (key != nullptr) *key = stored_key;
+    return outcome;
+  } catch (const std::exception&) {
+    return nullptr;
   }
-  return reader.ok();
-}
-
-void write_emulation(RecordWriter& writer, const EmulationResult& emu) {
-  writer.field("emu.quiesced", emu.quiesced);
-  writer.field("emu.convergence", static_cast<std::int64_t>(emu.convergence_time));
-  writer.field("emu.end", static_cast<std::int64_t>(emu.end_time));
-  writer.field("emu.messages", emu.messages);
-  writer.field("emu.bytes", emu.bytes);
-  writer.field("emu.route_changes", emu.route_changes);
-  writer.field("emu.nodes", emu.node_count);
-  writer.field("emu.stats_bucket", static_cast<std::int64_t>(emu.stats_bucket));
-  writer.field("emu.series", emu.bandwidth_series_mbps.size());
-  for (const double value : emu.bandwidth_series_mbps) {
-    writer.field("series", value);
-  }
-  writer.field("emu.routes", emu.best_routes.size());
-  for (const auto& [node, route] : emu.best_routes) {
-    writer.field("route.node", node);
-    writer.field("route.sig", route.first);
-    writer.field("route.hops", route.second.size());
-    for (const std::string& hop : route.second) {
-      writer.field("hop", hop);
-    }
-  }
-}
-
-bool read_emulation(RecordReader& reader, EmulationResult& emu) {
-  emu.quiesced = reader.boolean("emu.quiesced");
-  emu.convergence_time = reader.i64("emu.convergence");
-  emu.end_time = reader.i64("emu.end");
-  emu.messages = reader.u64("emu.messages");
-  emu.bytes = reader.u64("emu.bytes");
-  emu.route_changes = reader.u64("emu.route_changes");
-  emu.node_count = static_cast<std::size_t>(reader.u64("emu.nodes"));
-  emu.stats_bucket = reader.i64("emu.stats_bucket");
-  const std::uint64_t series = reader.u64("emu.series");
-  if (!reader.ok() || series > 1u << 24) return false;
-  emu.bandwidth_series_mbps.resize(series);
-  for (double& value : emu.bandwidth_series_mbps) {
-    value = reader.real("series");
-  }
-  const std::uint64_t routes = reader.u64("emu.routes");
-  if (!reader.ok() || routes > 1u << 20) return false;
-  for (std::uint64_t i = 0; i < routes; ++i) {
-    const std::string node = reader.text("route.node");
-    const std::string sig = reader.text("route.sig");
-    const std::uint64_t hops = reader.u64("route.hops");
-    if (!reader.ok() || hops > 1u << 16) return false;
-    std::vector<std::string> path(hops);
-    for (std::string& hop : path) hop = reader.text("hop");
-    emu.best_routes[node] = {sig, std::move(path)};
-  }
-  return reader.ok();
-}
-
-void write_sim(RecordWriter& writer, const sim::SimResult& sim_result) {
-  writer.field("sim.scenario", sim_result.scenario);
-  writer.field("sim.suppression", sim_result.suppression);
-  writer.field("sim.converged", sim_result.converged);
-  writer.field("sim.oscillating", sim_result.oscillating);
-  writer.field("sim.cutoff", sim_result.cutoff);
-  writer.field("sim.steps", sim_result.steps);
-  writer.field("sim.ticks", sim_result.ticks);
-  writer.field("sim.messages", sim_result.messages);
-  writer.field("sim.route_changes", sim_result.route_changes);
-  writer.field("sim.convergence_tick", sim_result.convergence_tick);
-  writer.field("sim.cycle_length", sim_result.cycle_length);
-  writer.field("sim.stable", sim_result.fixed_point_stable);
-  writer.field("sim.assignment", sim_result.final_assignment.size());
-  for (const auto& [node, path] : sim_result.final_assignment) {
-    writer.field("assign.node", node);
-    writer.field("assign.hops", path.size());
-    for (const std::string& hop : path) writer.field("hop", hop);
-  }
-}
-
-bool read_sim(RecordReader& reader, sim::SimResult& sim_result) {
-  sim_result.scenario = reader.text("sim.scenario");
-  sim_result.suppression = reader.text("sim.suppression");
-  sim_result.converged = reader.boolean("sim.converged");
-  sim_result.oscillating = reader.boolean("sim.oscillating");
-  sim_result.cutoff = reader.boolean("sim.cutoff");
-  sim_result.steps = reader.u64("sim.steps");
-  sim_result.ticks = reader.u64("sim.ticks");
-  sim_result.messages = reader.u64("sim.messages");
-  sim_result.route_changes = reader.u64("sim.route_changes");
-  sim_result.convergence_tick = reader.u64("sim.convergence_tick");
-  sim_result.cycle_length = reader.u64("sim.cycle_length");
-  sim_result.fixed_point_stable = reader.boolean("sim.stable");
-  const std::uint64_t entries = reader.u64("sim.assignment");
-  if (!reader.ok() || entries > 1u << 20) return false;
-  for (std::uint64_t i = 0; i < entries; ++i) {
-    const std::string node = reader.text("assign.node");
-    const std::uint64_t hops = reader.u64("assign.hops");
-    if (!reader.ok() || hops > 1u << 16) return false;
-    spp::Path path(hops);
-    for (std::string& hop : path) hop = reader.text("hop");
-    sim_result.final_assignment[node] = std::move(path);
-  }
-  return reader.ok();
-}
-
-void write_repair(RecordWriter& writer, const repair::RepairSummary& repair) {
-  writer.field("repair.attempted", repair.attempted);
-  writer.field("repair.solver_repaired", repair.solver_repaired);
-  writer.field("repair.verified", repair.verified);
-  writer.field("repair.gt_mode", repair.ground_truth_mode);
-  writer.field("repair.oracle_budget", repair.oracle_budget);
-  writer.field("repair.edit_count", repair.edit_count);
-  writer.field("repair.edits", repair.edits.size());
-  for (const std::string& edit : repair.edits) {
-    writer.field("edit", edit);
-  }
-  writer.field("repair.candidates", repair.candidates_checked);
-  writer.field("repair.checks", repair.solver_checks);
-  writer.field("repair.error", repair.error);
-}
-
-bool read_repair(RecordReader& reader, repair::RepairSummary& repair) {
-  repair.attempted = reader.boolean("repair.attempted");
-  repair.solver_repaired = reader.boolean("repair.solver_repaired");
-  repair.verified = reader.boolean("repair.verified");
-  repair.ground_truth_mode = reader.text("repair.gt_mode");
-  repair.oracle_budget = reader.text("repair.oracle_budget");
-  repair.edit_count = static_cast<std::size_t>(reader.u64("repair.edit_count"));
-  const std::uint64_t edits = reader.u64("repair.edits");
-  if (!reader.ok() || edits > 1u << 16) return false;
-  repair.edits.resize(edits);
-  for (std::string& edit : repair.edits) edit = reader.text("edit");
-  repair.candidates_checked =
-      static_cast<std::size_t>(reader.u64("repair.candidates"));
-  repair.solver_checks = static_cast<std::size_t>(reader.u64("repair.checks"));
-  repair.error = reader.text("repair.error");
-  return reader.ok();
 }
 
 }  // namespace
 
 std::string serialize_outcome(const ScenarioOutcome& outcome) {
-  RecordWriter writer;
-  writer.field("kind", std::string(to_string(outcome.kind)));
-  writer.field("error", outcome.error);
-  writer.field("wall_ms", outcome.wall_ms);
-  writer.field("has_safety", outcome.safety.has_value());
-  if (outcome.safety.has_value()) write_safety(writer, *outcome.safety);
-  writer.field("has_emulation", outcome.emulation.has_value());
-  if (outcome.emulation.has_value()) {
-    write_emulation(writer, *outcome.emulation);
-  }
-  writer.field("has_sim", outcome.sim.has_value());
-  if (outcome.sim.has_value()) write_sim(writer, *outcome.sim);
-  writer.field("has_repair", outcome.repair.has_value());
-  if (outcome.repair.has_value()) write_repair(writer, *outcome.repair);
-  return writer.take();
+  return encode_record(std::string(), outcome);
 }
 
 std::shared_ptr<const ScenarioOutcome> deserialize_outcome(
     const std::string& text) {
-  RecordReader reader(text);
-  auto outcome = std::make_shared<ScenarioOutcome>();
-  const std::string kind = reader.text("kind");
-  outcome->kind = kind == "emulation"    ? ScenarioKind::emulation
-                  : kind == "simulation" ? ScenarioKind::simulation
-                                         : ScenarioKind::safety;
-  outcome->error = reader.text("error");
-  outcome->wall_ms = reader.real("wall_ms");
-  if (reader.boolean("has_safety")) {
-    SafetyReport safety;
-    if (!read_safety(reader, safety)) return nullptr;
-    outcome->safety = std::move(safety);
-  }
-  if (reader.boolean("has_emulation")) {
-    EmulationResult emulation;
-    if (!read_emulation(reader, emulation)) return nullptr;
-    outcome->emulation = std::move(emulation);
-  }
-  if (reader.boolean("has_sim")) {
-    sim::SimResult sim_result;
-    if (!read_sim(reader, sim_result)) return nullptr;
-    outcome->sim = std::move(sim_result);
-  }
-  if (reader.boolean("has_repair")) {
-    repair::RepairSummary repair;
-    if (!read_repair(reader, repair)) return nullptr;
-    outcome->repair = std::move(repair);
-  }
-  return reader.ok() ? outcome : nullptr;
+  return decode_record(text, nullptr);
 }
 
 namespace {
@@ -619,24 +341,11 @@ void ResultCache::load_directory() {
     std::ostringstream text;
     text << in.rdbuf();
     const std::string record = text.str();
-    // A record under another format version is a miss. The first line
-    // after the header names the full cache key, so digest collisions (two
-    // keys, one file name) load as the stored key only.
-    const std::size_t header_end = record.find('\n');
-    if (header_end == std::string::npos ||
-        record.compare(0, header_end, k_record_header) != 0) {
-      continue;
-    }
-    const std::string body = record.substr(header_end + 1);
-    const std::size_t key_end = body.find('\n');
-    if (key_end == std::string::npos ||
-        body.compare(0, 4, "key ") != 0) {
-      continue;
-    }
-    const std::string key = unescape_value(body.substr(4, key_end - 4));
-    const std::string payload =
-        std::string(k_record_header) + "\n" + body.substr(key_end + 1);
-    auto outcome = deserialize_outcome(payload);
+    // A record under another format version, or one that does not decode,
+    // is a miss. The record names its full cache key, so digest collisions
+    // (two keys, one file name) load as the stored key only.
+    std::string key;
+    auto outcome = decode_record(record, &key);
     if (outcome == nullptr) continue;
     entries_.emplace(key, std::move(outcome));
     const std::string digest = entry.path().stem().string();
@@ -732,27 +441,22 @@ void ResultCache::insert(const std::string& key,
   // load_directory); write-to-temp-then-rename keeps concurrent readers of
   // the directory from ever seeing a torn record.
   namespace fs = std::filesystem;
-  const std::string record = serialize_outcome(*to_persist);
-  const std::size_t header_end = record.find('\n');
-  if (header_end == std::string::npos) return;
-  std::string with_key = record.substr(0, header_end + 1);
-  with_key += "key " + escape_value(key) + "\n";
-  with_key += record.substr(header_end + 1);
+  const std::string record = encode_record(key, *to_persist);
+  const std::string digest = util::content_digest(key);
 
   // The temp name is unique per process AND per write (pid + counter):
   // concurrent processes (or runners) sharing one cache directory must
   // never interleave writes into the same temp file, or the atomic-rename
   // guarantee would publish a torn record.
   static std::atomic<std::uint64_t> write_counter{0};
-  const fs::path final_path =
-      fs::path(directory_) / (content_digest(key) + ".outcome");
+  const fs::path final_path = fs::path(directory_) / (digest + ".outcome");
   const fs::path temp_path =
       fs::path(directory_) /
-      (content_digest(key) + ".tmp." + std::to_string(::getpid()) + "." +
+      (digest + ".tmp." + std::to_string(::getpid()) + "." +
        std::to_string(write_counter.fetch_add(1)));
   std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
   if (!out) return;  // best-effort: unwritable directory degrades gracefully
-  out << with_key;
+  out << record;
   out.close();
   if (!out) return;
   std::error_code ec;
@@ -766,13 +470,12 @@ void ResultCache::insert(const std::string& key,
   // record is stamped now, so the sweep sheds older (least recently
   // accessed) files first.
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::string digest = content_digest(key);
   digest_of_key_.emplace(key, digest);
   const auto [record_it, record_inserted] =
       disk_records_.emplace(digest, DiskRecord{});
   if (record_inserted) {
-    record_it->second.bytes = with_key.size();
-    disk_bytes_ += with_key.size();
+    record_it->second.bytes = record.size();
+    disk_bytes_ += record.size();
     static obs::Gauge& bytes_gauge =
         obs::registry().gauge("result_cache.disk_bytes");
     bytes_gauge.set(static_cast<std::int64_t>(disk_bytes_));

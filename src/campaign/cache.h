@@ -2,28 +2,27 @@
 //
 // Scenarios generated by sweeps frequently repeat the same underlying
 // problem (the same gadget reached from two sources, the same extracted
-// iBGP instance under two parameter settings). The cache canonicalizes a
-// scenario's *content* — the SPP instance, symbolic spec, or annotated
-// topology it actually solves, never its display name — into a stable
-// textual form and keys outcomes by that form, so duplicated work is
-// solved once per campaign and reused across campaigns sharing a runner.
-//
-// Canonical forms are faithful serialisations in the payload's own
-// (deterministic) construction order, NOT sorted normal forms: assertion
-// order influences which minimal unsat core the solver reports, and two
-// scenarios may only share an outcome byte-for-byte when their constraint
-// streams are identical. Sorting would conflate instances whose reports
-// legitimately differ.
+// iBGP instance under two parameter settings). The cache keys outcomes by
+// a scenario's *content* — the canonical form of the SPP instance,
+// symbolic spec, or annotated topology it actually solves
+// (spp::canonical_spp, algebra::canonical_spec,
+// topology::canonical_topology), never its display name — so duplicated
+// work is solved once per campaign and reused across campaigns sharing a
+// runner.
 //
 // Persistence: constructed with a directory, the cache reloads every
 // previously stored outcome at startup and writes each insertion back as
-// one content-addressed file (<fnv1a64(key)>.outcome, a versioned
-// line-oriented text record), making repeated campaign sweeps incremental
-// across processes. Unreadable, version-mismatched, or colliding files
-// are ignored — a disk cache miss only costs a re-solve. Outcomes are
-// serialised field-for-field (including wall-clock data, which renderers
-// exclude from deterministic JSON anyway), so a warm run's report is
-// byte-identical to the cold run that populated the directory.
+// one content-addressed file, <content_digest(key)>.outcome. A record is
+// a version header line followed by one JSON object: the full cache key
+// (checked on load, so two keys that share a digest never alias), the
+// outcome's fields exactly as the campaign report renders them
+// (append_outcome_json), and wall_ms in %.17g, so the --timings histogram
+// and slowest-scenario order round-trip exactly. Nothing the report does
+// not read is stored: no models, narratives, bandwidth series, best
+// routes or fixed points. A warm run's report is therefore byte-identical
+// to the cold run that populated the directory. Unreadable,
+// version-mismatched, malformed or colliding files are ignored — a disk
+// cache miss only costs a re-solve.
 //
 // Thread-safety: find/insert are internally synchronized; the runner's
 // workers share one cache instance.
@@ -39,19 +38,6 @@
 #include "campaign/scenario.h"
 
 namespace fsr::campaign {
-
-/// Canonical text of an SPP instance: destination, edges, and per-node
-/// ranked permitted paths. Excludes the instance name.
-std::string canonical_spp(const spp::SppInstance& instance);
-
-/// Canonical text of a symbolic spec: signatures, preference constraints,
-/// extension entries, and additive templates in spec order. Excludes the
-/// algebra name.
-std::string canonical_spec(const algebra::SymbolicSpec& spec);
-
-/// Canonical text of an annotated topology: nodes, destination, labelled
-/// links with their net configs, and domain markers. Excludes the name.
-std::string canonical_topology(const topology::Topology& topology);
 
 /// Full cache key of a scenario: kind tag + payload canonical form, plus
 /// the per-scenario seed for emulations and simulations (whose results are
@@ -87,16 +73,14 @@ std::string scenario_cache_key(const Scenario& scenario, bool attempt_repair,
                                const repair::RepairOptions& repair = {},
                                const sim::SimOptions& sim = {});
 
-/// 64-bit FNV-1a digest of a canonical form, rendered as 16 hex digits —
-/// the short content id shown in reports.
-std::string content_digest(const std::string& canonical);
-
-/// Serialises `outcome` as the versioned text record the disk cache
-/// stores (exposed for tests and external tooling).
+/// Serialises `outcome` as the versioned record the disk cache stores,
+/// under an empty key (exposed for tests and external tooling).
 std::string serialize_outcome(const ScenarioOutcome& outcome);
 
-/// Parses a record produced by serialize_outcome. Returns nullptr on any
-/// malformed or version-mismatched input (never throws on bad bytes).
+/// Parses a record produced by serialize_outcome, filling the fields the
+/// report and render_table read. Returns nullptr on any syntax error,
+/// missing or mistyped field, or version mismatch (never throws on bad
+/// bytes).
 std::shared_ptr<const ScenarioOutcome> deserialize_outcome(
     const std::string& text);
 

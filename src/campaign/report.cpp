@@ -38,28 +38,14 @@ const char* safety_verdict_text(const SafetyReport& report) {
   return report.verdict == SafetyVerdict::safe ? "safe" : "not_provably_safe";
 }
 
-void append_scenario_json(std::string& out, const ScenarioResult& result,
-                          const JsonOptions& options, const char* indent) {
-  out += indent;
-  out += "{\"id\": " + quoted(result.id) +
-         ", \"source\": " + quoted(result.source) +
-         ", \"kind\": " + quoted(to_string(result.kind)) +
-         ", \"seed\": " + quoted(std::to_string(result.seed)) +
-         ", \"content\": " + quoted(result.content_id) +
-         ", \"deduplicated\": " + (result.deduplicated ? "true" : "false");
-  if (options.include_timings) {
-    // Cache provenance is execution metadata, like wall-clock time: a warm
-    // run's deterministic fields must match the cold run that filled the
-    // cache, so the flag is timings-gated.
-    out += std::string(", \"cache_hit\": ") +
-           (result.cache_hit ? "true" : "false");
+}  // namespace
+
+void append_outcome_json(std::string& out, const ScenarioOutcome& outcome) {
+  if (!outcome.error.empty()) {
+    out += ", \"verdict\": \"error\", \"error\": " + quoted(outcome.error);
   }
-  const ScenarioOutcome* outcome = result.outcome.get();
-  if (outcome != nullptr && !outcome->error.empty()) {
-    out += ", \"verdict\": \"error\", \"error\": " + quoted(outcome->error);
-  }
-  if (outcome != nullptr && outcome->safety.has_value()) {
-    const SafetyReport& safety = *outcome->safety;
+  if (outcome.safety.has_value()) {
+    const SafetyReport& safety = *outcome.safety;
     out += ", \"verdict\": " + quoted(safety_verdict_text(safety));
     out += ", \"checks\": [";
     for (std::size_t i = 0; i < safety.checks.size(); ++i) {
@@ -85,8 +71,8 @@ void append_scenario_json(std::string& out, const ScenarioResult& result,
     }
     out += "]";
   }
-  if (outcome != nullptr && outcome->repair.has_value()) {
-    const repair::RepairSummary& repair = *outcome->repair;
+  if (outcome.repair.has_value()) {
+    const repair::RepairSummary& repair = *outcome.repair;
     out += ", \"repair\": {\"solver_repaired\": ";
     out += repair.solver_repaired ? "true" : "false";
     out += ", \"verified\": ";
@@ -108,10 +94,10 @@ void append_scenario_json(std::string& out, const ScenarioResult& result,
     if (!repair.error.empty()) out += ", \"error\": " + quoted(repair.error);
     out += "}";
   }
-  if (outcome != nullptr && outcome->sim.has_value()) {
+  if (outcome.sim.has_value()) {
     // Every simulation field is deterministic in (content, seed), so the
     // whole block lives in the default JSON — nothing is timings-gated.
-    const sim::SimResult& sim = *outcome->sim;
+    const sim::SimResult& sim = *outcome.sim;
     out += ", \"verdict\": ";
     out += sim.converged     ? quoted("converged")
            : sim.oscillating ? quoted("oscillating")
@@ -132,8 +118,8 @@ void append_scenario_json(std::string& out, const ScenarioResult& result,
       out += ", \"cycle_length\": " + std::to_string(sim.cycle_length);
     }
   }
-  if (outcome != nullptr && outcome->emulation.has_value()) {
-    const EmulationResult& emu = *outcome->emulation;
+  if (outcome.emulation.has_value()) {
+    const EmulationResult& emu = *outcome.emulation;
     out += ", \"verdict\": ";
     out += emu.quiesced ? quoted("converged") : quoted("diverged");
     out += ", \"convergence_time_us\": " +
@@ -144,6 +130,28 @@ void append_scenario_json(std::string& out, const ScenarioResult& result,
            ", \"route_changes\": " + std::to_string(emu.route_changes) +
            ", \"nodes\": " + std::to_string(emu.node_count);
   }
+}
+
+namespace {
+
+void append_scenario_json(std::string& out, const ScenarioResult& result,
+                          const JsonOptions& options, const char* indent) {
+  out += indent;
+  out += "{\"id\": " + quoted(result.id) +
+         ", \"source\": " + quoted(result.source) +
+         ", \"kind\": " + quoted(to_string(result.kind)) +
+         ", \"seed\": " + quoted(std::to_string(result.seed)) +
+         ", \"content\": " + quoted(result.content_id) +
+         ", \"deduplicated\": " + (result.deduplicated ? "true" : "false");
+  if (options.include_timings) {
+    // Cache provenance is execution metadata, like wall-clock time: a warm
+    // run's deterministic fields must match the cold run that filled the
+    // cache, so the flag is timings-gated.
+    out += std::string(", \"cache_hit\": ") +
+           (result.cache_hit ? "true" : "false");
+  }
+  const ScenarioOutcome* outcome = result.outcome.get();
+  if (outcome != nullptr) append_outcome_json(out, *outcome);
   if (options.include_timings && outcome != nullptr) {
     out += ", \"wall_ms\": " + fixed3(outcome->wall_ms);
   }

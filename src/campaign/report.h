@@ -122,6 +122,14 @@ struct JsonOptions {
   bool include_timings = false;
 };
 
+/// Appends the deterministic fields one outcome contributes to its
+/// scenario's object in to_json — error, verdict, checks with their cores,
+/// repair block, simulation and emulation digests — each preceded by
+/// ", ". The campaign cache stores this same text as its record
+/// (serialize_outcome), so a cached outcome holds exactly what the report
+/// renders from it.
+void append_outcome_json(std::string& out, const ScenarioOutcome& outcome);
+
 std::string to_json(const CampaignReport& report, JsonOptions options = {});
 
 /// Paper-style fixed-width table (bench_util style) for terminals.

@@ -149,7 +149,7 @@ CampaignReport CampaignRunner::run_scenarios(std::vector<Scenario> scenarios) {
     validate_scenario(scenario);
     keys[i] = scenario_cache_key(scenario, options_.attempt_repair,
                                  options_.repair, options_.sim);
-    result.content_id = content_digest(keys[i]);
+    result.content_id = util::content_digest(keys[i]);
 
     const auto [it, inserted] = first_with_key.emplace(keys[i], i);
     if (!inserted) {
@@ -195,7 +195,6 @@ CampaignReport CampaignRunner::run_scenarios(std::vector<Scenario> scenarios) {
     const Scenario& scenario = scenarios[index];
     const api::Response response = primary[slot].get();
     auto outcome = std::make_shared<ScenarioOutcome>();
-    outcome->kind = scenario.kind;
     outcome->error = response.error;
     outcome->wall_ms = response.wall_ms;
     if (response.safety.has_value()) outcome->safety = response.safety;
@@ -209,7 +208,7 @@ CampaignReport CampaignRunner::run_scenarios(std::vector<Scenario> scenarios) {
         outcome->safety->verdict == SafetyVerdict::not_provably_safe) {
       api::RepairRequest request;
       request.spp = scenario.spp;
-      request.seed = util::fnv1a64(canonical_spp(*scenario.spp));
+      request.seed = util::fnv1a64(spp::canonical_spp(*scenario.spp));
       followups.emplace_back(index, service.submit(std::move(request)));
     }
     outcomes[index] = std::move(outcome);

@@ -52,7 +52,6 @@ struct Scenario {
 /// only non-deterministic field; renderers exclude it unless timings are
 /// requested explicitly.
 struct ScenarioOutcome {
-  ScenarioKind kind = ScenarioKind::safety;
   std::optional<SafetyReport> safety;
   std::optional<EmulationResult> emulation;
   /// Simulation scenarios: the event-driven run's digest — message count,

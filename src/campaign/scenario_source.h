@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "campaign/scenario.h"
+#include "spp/random_instance.h"
 
 namespace fsr::campaign {
 
@@ -89,15 +90,6 @@ struct AsHierarchySweep {
   std::int32_t sim_max_path_edges = 0;
 };
 
-struct RandomSppSweep {
-  std::int32_t count = 8;
-  std::int32_t min_nodes = 3;
-  std::int32_t max_nodes = 6;
-  double extra_edge_probability = 0.3;
-  std::int32_t paths_per_node = 3;
-  std::int32_t max_path_length = 5;
-};
-
 struct RepairTargetSweep {
   /// bad_gadget_chain lengths (one BAD gadget amid count-1 GOOD ones).
   std::vector<std::int32_t> bad_chain_lengths = {2, 4};
@@ -109,7 +101,8 @@ struct RepairTargetSweep {
 std::unique_ptr<ScenarioSource> gadget_source(GadgetSweep sweep = {});
 std::unique_ptr<ScenarioSource> rocketfuel_source(RocketfuelSweep sweep = {});
 std::unique_ptr<ScenarioSource> as_hierarchy_source(AsHierarchySweep sweep = {});
-std::unique_ptr<ScenarioSource> random_spp_source(RandomSppSweep sweep = {});
+std::unique_ptr<ScenarioSource> random_spp_source(
+    spp::RandomSppSweep sweep = {});
 std::unique_ptr<ScenarioSource> standard_policy_source();
 std::unique_ptr<ScenarioSource> repair_target_source(RepairTargetSweep sweep = {});
 
@@ -144,13 +137,6 @@ spp::SppInstance spp_from_topology(std::string name,
                                    std::int32_t max_path_edges,
                                    std::size_t max_candidates,
                                    std::size_t paths_per_node);
-
-/// Builds a random-but-valid SPP instance: a connected graph rooted at the
-/// destination plus extra edges, with up to `paths_per_node` randomly
-/// ranked permitted paths per node. Deterministic in `seed`. Exposed for
-/// tests and the fuzz sweep.
-spp::SppInstance random_spp_instance(std::string name, std::uint64_t seed,
-                                     const RandomSppSweep& sweep);
 
 }  // namespace fsr::campaign
 

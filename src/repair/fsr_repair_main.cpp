@@ -23,12 +23,12 @@
 #include <vector>
 
 #include "api/service.h"
-#include "campaign/scenario_source.h"
 #include "groundtruth/engine.h"
 #include "obs/cli.h"
 #include "obs/trace.h"
 #include "repair/repair_engine.h"
 #include "spp/gadgets.h"
+#include "spp/random_instance.h"
 #include "util/error.h"
 
 namespace {
@@ -176,9 +176,9 @@ int main(int argc, char** argv) {
     for (const std::string& name : gadgets) {
       instances.push_back(fsr::spp::gadget_by_name(name));
     }
-    fsr::campaign::RandomSppSweep sweep;
+    fsr::spp::RandomSppSweep sweep;
     for (int i = 0; i < random_count; ++i) {
-      instances.push_back(fsr::campaign::random_spp_instance(
+      instances.push_back(fsr::spp::random_spp_instance(
           "fuzz-" + std::to_string(i), seed + static_cast<std::uint64_t>(i),
           sweep));
     }

@@ -13,6 +13,23 @@ std::string path_name(const Path& path) {
   return util::join(path, "-");
 }
 
+std::string canonical_spp(const SppInstance& instance) {
+  std::string out = "dest=" + instance.destination() + ";edges=";
+  for (const auto& [u, v] : instance.edges()) {
+    out += u + "~" + v + ",";
+  }
+  out += ";paths=";
+  for (const std::string& node : instance.nodes()) {
+    out += node + ":";
+    for (const Path& path : instance.permitted(node)) {
+      out += path_name(path);
+      out += ",";
+    }
+    out += ";";
+  }
+  return out;
+}
+
 const char* to_string(EnumerationStop stop) noexcept {
   switch (stop) {
     case EnumerationStop::completed:

@@ -84,6 +84,14 @@ class SppInstance {
   static const std::vector<Path> k_no_paths;
 };
 
+/// Canonical text of an instance — destination, edges, and per-node ranked
+/// permitted paths — for content identity (fingerprints, cache keys).
+/// Excludes the instance name. A faithful serialisation in construction
+/// order, not a sorted normal form: assertion order shapes which minimal
+/// unsat core the solver reports, so only instances with identical
+/// constraint streams may share an identity.
+std::string canonical_spp(const SppInstance& instance);
+
 /// A path assignment: node -> chosen permitted path (nodes routing to
 /// nothing are absent).
 using Assignment = std::map<std::string, Path>;

@@ -43,6 +43,11 @@ struct Topology {
   std::size_t node_count() const noexcept { return nodes.size(); }
 };
 
+/// Canonical text of an annotated topology — nodes, destination, labelled
+/// links with their net configs, and domain markers — for content
+/// identity. Excludes the name.
+std::string canonical_topology(const Topology& topology);
+
 }  // namespace fsr::topology
 
 #endif  // FSR_TOPOLOGY_TOPOLOGY_H

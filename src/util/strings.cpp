@@ -96,4 +96,15 @@ std::uint64_t fnv1a64(std::string_view text) noexcept {
   return hash;
 }
 
+std::string content_digest(std::string_view canonical) {
+  std::uint64_t hash = fnv1a64(canonical);
+  static const char* digits = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    out[static_cast<std::size_t>(i)] = digits[hash & 0xf];
+    hash >>= 4;
+  }
+  return out;
+}
+
 }  // namespace fsr::util

@@ -39,6 +39,10 @@ std::string json_quoted(const std::string& text);
 /// derivation, cache digests, repair trial seeds, shard-ring placement).
 std::uint64_t fnv1a64(std::string_view text) noexcept;
 
+/// fnv1a64 of a canonical form, rendered as 16 hex digits — the short
+/// content id of reports, request fingerprints and cache file names.
+std::string content_digest(std::string_view canonical);
+
 }  // namespace fsr::util
 
 #endif  // FSR_UTIL_STRINGS_H

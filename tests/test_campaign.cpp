@@ -13,6 +13,7 @@
 #include <iterator>
 #include <set>
 
+#include "api/json.h"
 #include "campaign/cache.h"
 #include "campaign/report.h"
 #include "campaign/runner.h"
@@ -30,7 +31,7 @@ std::vector<std::unique_ptr<ScenarioSource>> quick_sources() {
   std::vector<std::unique_ptr<ScenarioSource>> sources;
   sources.push_back(gadget_source());
   sources.push_back(standard_policy_source());
-  RandomSppSweep random_sweep;
+  spp::RandomSppSweep random_sweep;
   random_sweep.count = 4;
   sources.push_back(random_spp_source(random_sweep));
   return sources;
@@ -63,9 +64,10 @@ TEST(ScenarioSource, GeneratesUniqueIdsWithDerivedSeeds) {
 
 TEST(Cache, CanonicalSppIgnoresNameButNotContent) {
   spp::SppInstance renamed = spp::good_gadget();
-  EXPECT_EQ(canonical_spp(spp::good_gadget()), canonical_spp(renamed));
-  EXPECT_NE(canonical_spp(spp::good_gadget()),
-            canonical_spp(spp::bad_gadget()));
+  EXPECT_EQ(spp::canonical_spp(spp::good_gadget()),
+            spp::canonical_spp(renamed));
+  EXPECT_NE(spp::canonical_spp(spp::good_gadget()),
+            spp::canonical_spp(spp::bad_gadget()));
 }
 
 TEST(Cache, ScenarioKeySeparatesKindsAndEmulationSeeds) {
@@ -99,12 +101,12 @@ TEST(Cache, PayloadlessScenarioRejected) {
 // -------------------------------------------------------------- random spp --
 
 TEST(RandomSpp, DeterministicValidInstances) {
-  const RandomSppSweep sweep;
-  const spp::SppInstance one = random_spp_instance("r", 123, sweep);
-  const spp::SppInstance two = random_spp_instance("r", 123, sweep);
-  EXPECT_EQ(canonical_spp(one), canonical_spp(two));
-  EXPECT_NE(canonical_spp(one),
-            canonical_spp(random_spp_instance("r", 124, sweep)));
+  const spp::RandomSppSweep sweep;
+  const spp::SppInstance one = spp::random_spp_instance("r", 123, sweep);
+  const spp::SppInstance two = spp::random_spp_instance("r", 123, sweep);
+  EXPECT_EQ(spp::canonical_spp(one), spp::canonical_spp(two));
+  EXPECT_NE(spp::canonical_spp(one),
+            spp::canonical_spp(spp::random_spp_instance("r", 124, sweep)));
   EXPECT_GT(one.permitted_path_count(), 0u);
   // Every generated path passed SppInstance validation (edges declared,
   // simple, destination-terminated) or add_permitted_path would have
@@ -126,7 +128,7 @@ TEST(CampaignRunner, ReportBytesIdenticalForAnyThreadCount) {
     sweep.include_emulations = true;
     std::vector<std::unique_ptr<ScenarioSource>> sources;
     sources.push_back(gadget_source(std::move(sweep)));
-    RandomSppSweep random_sweep;
+    spp::RandomSppSweep random_sweep;
     random_sweep.count = 4;
     sources.push_back(random_spp_source(random_sweep));
     CampaignOptions options;
@@ -143,7 +145,7 @@ TEST(CampaignRunner, ReportBytesIdenticalForAnyThreadCount) {
 TEST(CampaignRunner, DifferentCampaignSeedsChangeRandomScenarios) {
   const auto run_with_seed = [](std::uint64_t seed) {
     std::vector<std::unique_ptr<ScenarioSource>> sources;
-    RandomSppSweep sweep;
+    spp::RandomSppSweep sweep;
     sweep.count = 4;
     sources.push_back(random_spp_source(sweep));
     CampaignOptions options;
@@ -216,11 +218,12 @@ TEST(CampaignRunner, SecondRunServedEntirelyFromCache) {
 }
 
 TEST(Cache, OutcomesRoundTripThroughSerialization) {
-  // Every outcome shape the campaign produces (safety with cores and
-  // models, emulations with series/routes, repair summaries, errors) must
-  // survive the disk format byte-for-byte at the JSON level.
+  // Every outcome shape the campaign produces (safety with cores,
+  // emulations, simulations, repair summaries, errors) must survive the
+  // disk format byte-for-byte at the JSON level.
   GadgetSweep sweep;
   sweep.include_emulations = true;
+  sweep.include_simulations = true;
   std::vector<std::unique_ptr<ScenarioSource>> sources;
   sources.push_back(gadget_source(std::move(sweep)));
   sources.push_back(standard_policy_source());
@@ -236,15 +239,20 @@ TEST(Cache, OutcomesRoundTripThroughSerialization) {
   std::size_t round_tripped = 0;
   for (ScenarioResult& result : report.results) {
     if (result.outcome == nullptr) continue;
-    // v6 records carry no per-check Yices script; the same body under the
-    // v5 header (whose cores came from another engine) is refused, not
+    // A v7 record is one JSON object holding only what the report renders:
+    // no models, narratives, bandwidth series or fixed points. The same
+    // body under the v6 header (the line-record format) is refused, not
     // misread.
     const std::string record = serialize_outcome(*result.outcome);
-    ASSERT_EQ(record.rfind("fsr-outcome v6\n", 0), 0u) << result.id;
-    EXPECT_EQ(record.find("check.script"), std::string::npos) << result.id;
-    EXPECT_EQ(deserialize_outcome("fsr-outcome v5" +
-                                  record.substr(record.find('\n'))),
-              nullptr)
+    ASSERT_EQ(record.rfind("fsr-outcome v7\n", 0), 0u) << result.id;
+    const std::string body = record.substr(record.find('\n') + 1);
+    EXPECT_NO_THROW(api::json::parse(body)) << result.id;
+    for (const char* dropped : {"\"model\":", "\"narrative\":",
+                                "\"series\":", "\"fixed_point\":"}) {
+      EXPECT_EQ(body.find(dropped), std::string::npos)
+          << result.id << " " << dropped;
+    }
+    EXPECT_EQ(deserialize_outcome("fsr-outcome v6\n" + body), nullptr)
         << result.id;
     const auto restored = deserialize_outcome(record);
     ASSERT_NE(restored, nullptr) << result.id;
@@ -268,6 +276,26 @@ TEST(Cache, MalformedRecordsAreRejectedNotFatal) {
   const std::string full = serialize_outcome(outcome);
   EXPECT_NE(deserialize_outcome(full), nullptr);
   EXPECT_EQ(deserialize_outcome(full.substr(0, full.size() / 2)), nullptr);
+  // So is a truncated JSON body behind a good header, and nesting past the
+  // parser's depth bound is an error, not a stack overflow.
+  const std::string header = "fsr-outcome v7\n";
+  const std::string safe_record =
+      header +
+      R"({"key": "k", "verdict": "safe", "checks": [{"algebra": "a",)"
+      R"( "mode": "strict", "holds": true, "preference_constraints": 3,)"
+      R"( "monotonicity_constraints": 2}], "wall_ms": 1.5})";
+  ASSERT_NE(deserialize_outcome(safe_record), nullptr);
+  EXPECT_EQ(deserialize_outcome(safe_record.substr(0, safe_record.size() - 9)),
+            nullptr);
+  EXPECT_EQ(deserialize_outcome(header + std::string(800000, '[')), nullptr);
+  // A mistyped field (a count given as a string) fails the record, and so
+  // does a missing one.
+  std::string mistyped = safe_record;
+  mistyped.replace(mistyped.find("3,"), 1, "\"3\"");
+  EXPECT_EQ(deserialize_outcome(mistyped), nullptr);
+  std::string unverdicted = safe_record;
+  unverdicted.erase(unverdicted.find("\"verdict\""), 19);
+  EXPECT_EQ(deserialize_outcome(unverdicted), nullptr);
 }
 
 TEST(Cache, DiskBackedCachePersistsAcrossRunners) {
@@ -316,7 +344,7 @@ TEST(Cache, CorruptedDiskEntriesDegradeToMisses) {
       vandalisms = {
           [](const std::string&) { return "fsr-outcome v1\ngarbage"; },
           [](const std::string& record) {
-            return "fsr-outcome v5" + record.substr(record.find('\n'));
+            return "fsr-outcome v6" + record.substr(record.find('\n'));
           },
       };
   for (const auto& vandalise : vandalisms) {
@@ -685,13 +713,10 @@ TEST(CampaignReport, TimingsAreOptInAndTableRenders) {
 namespace {
 
 /// An outcome whose serialized record is at least `bytes` long (padding
-/// rides in the narrative, which round-trips verbatim).
+/// rides in the error text, which the record keeps verbatim).
 std::shared_ptr<const ScenarioOutcome> padded_outcome(std::size_t bytes) {
   auto outcome = std::make_shared<ScenarioOutcome>();
-  SafetyReport safety;
-  safety.verdict = SafetyVerdict::safe;
-  safety.narrative = std::string(bytes, 'x');
-  outcome->safety = std::move(safety);
+  outcome->error = std::string(bytes, 'x');
   return outcome;
 }
 

@@ -26,12 +26,12 @@
 #include <string>
 #include <vector>
 
-#include "campaign/scenario_source.h"
 #include "groundtruth/engine.h"
 #include "groundtruth/stable_sat.h"
 #include "repair/edit.h"
 #include "sim/simulator.h"
 #include "spp/gadgets.h"
+#include "spp/random_instance.h"
 #include "spp/spp.h"
 #include "util/rng.h"
 
@@ -149,8 +149,8 @@ std::optional<repair::PolicyEdit> random_edit(const spp::SppInstance& instance,
 TEST(Differential, FourOraclesAgreeAcrossTheFuzzSweep) {
   const std::uint64_t base = fuzz_seed_base();
 
-  campaign::RandomSppSweep plain;  // defaults: 3-6 nodes, sparse
-  campaign::RandomSppSweep dense;  // conflict-heavy (repair-fuzz shape)
+  spp::RandomSppSweep plain;  // defaults: 3-6 nodes, sparse
+  spp::RandomSppSweep dense;  // conflict-heavy (repair-fuzz shape)
   dense.extra_edge_probability = 0.5;
   dense.paths_per_node = 4;
 
@@ -159,8 +159,8 @@ TEST(Differential, FourOraclesAgreeAcrossTheFuzzSweep) {
   std::size_t edited_queries = 0;
   for (std::size_t i = 0; i < k_instances; ++i) {
     const std::uint64_t seed = base + i;
-    const campaign::RandomSppSweep& sweep = i % 2 == 0 ? plain : dense;
-    const spp::SppInstance instance = campaign::random_spp_instance(
+    const spp::RandomSppSweep& sweep = i % 2 == 0 ? plain : dense;
+    const spp::SppInstance instance = spp::random_spp_instance(
         "differential-" + std::to_string(seed), seed, sweep);
     SCOPED_TRACE("generator seed " + std::to_string(seed) +
                  (i % 2 == 0 ? " (plain sweep)" : " (dense sweep)"));

@@ -9,12 +9,12 @@
 #include <algorithm>
 #include <set>
 
-#include "campaign/scenario_source.h"
 #include "groundtruth/engine.h"
 #include "groundtruth/sat_solver.h"
 #include "groundtruth/stable_sat.h"
 #include "repair/edit.h"
 #include "spp/gadgets.h"
+#include "spp/random_instance.h"
 #include "spp/spp.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -605,16 +605,16 @@ TEST(Agreement, TwoHundredSeededRandomInstances) {
   const auto sat = make_engine(Mode::sat_search, options);
   const auto enumerate = make_engine(Mode::enumerate, options);
 
-  campaign::RandomSppSweep plain;  // defaults: 3-6 nodes, sparse
-  campaign::RandomSppSweep dense;  // conflict-heavy (repair-fuzz shape)
+  spp::RandomSppSweep plain;  // defaults: 3-6 nodes, sparse
+  spp::RandomSppSweep dense;  // conflict-heavy (repair-fuzz shape)
   dense.extra_edge_probability = 0.5;
   dense.paths_per_node = 4;
 
   std::size_t with_stable = 0;
   std::size_t multi_stable = 0;
   for (int i = 0; i < 200; ++i) {
-    const campaign::RandomSppSweep& sweep = i % 2 == 0 ? plain : dense;
-    const spp::SppInstance instance = campaign::random_spp_instance(
+    const spp::RandomSppSweep& sweep = i % 2 == 0 ? plain : dense;
+    const spp::SppInstance instance = spp::random_spp_instance(
         "agreement-" + std::to_string(i),
         /*seed=*/9000 + static_cast<std::uint64_t>(i), sweep);
     expect_agreement(instance, *sat, *enumerate,
@@ -632,8 +632,8 @@ TEST(Agreement, TwoHundredSeededRandomInstances) {
 
 TEST(Agreement, DeterministicAcrossRepeatedRuns) {
   const auto engine = make_engine(Mode::sat_search);
-  const spp::SppInstance instance = campaign::random_spp_instance(
-      "determinism", 424242, campaign::RandomSppSweep{});
+  const spp::SppInstance instance = spp::random_spp_instance(
+      "determinism", 424242, spp::RandomSppSweep{});
   const Result first = engine->analyze(instance);
   for (int round = 0; round < 3; ++round) {
     const Result repeat = engine->analyze(instance);

@@ -24,11 +24,11 @@
 
 #include "api/request.h"
 #include "api/service.h"
+#include "api/shard_router.h"
 #include "api/wire.h"
 #include "netserve/connection.h"
 #include "netserve/framing.h"
 #include "netserve/server.h"
-#include "netserve/shard_router.h"
 #include "obs/metrics.h"
 
 namespace fsr::netserve {
@@ -103,6 +103,8 @@ TEST(LineFramer, OversizedFinalLineSurfacesThroughFinish) {
 }
 
 // --------------------------------------------------------- shard routing --
+
+using api::ShardRouter;
 
 TEST(ShardRouter, MappingIsAPureFunctionOfTheConfiguration) {
   const ShardRouter a(8), b(8);

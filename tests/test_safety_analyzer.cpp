@@ -20,13 +20,13 @@
 #include "algebra/additive_algebra.h"
 #include "algebra/lexical_product.h"
 #include "algebra/standard_policies.h"
-#include "campaign/scenario_source.h"
 #include "fsr/constraint_encoder.h"
 #include "fsr/incremental_session.h"
 #include "fsr/safety_analyzer.h"
 #include "groundtruth/engine.h"
 #include "smt/yices_frontend.h"
 #include "spp/gadgets.h"
+#include "spp/random_instance.h"
 #include "spp/translate.h"
 #include "util/error.h"
 
@@ -301,8 +301,8 @@ TEST(IncrementalSession, AgreesWithAnalyzer) {
       spp::algebra_from_spp(spp::ibgp_figure3_fixed()),
   };
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    algebras.push_back(spp::algebra_from_spp(campaign::random_spp_instance(
-        "random-" + std::to_string(seed), seed, campaign::RandomSppSweep{})));
+    algebras.push_back(spp::algebra_from_spp(spp::random_spp_instance(
+        "random-" + std::to_string(seed), seed, spp::RandomSppSweep{})));
   }
   for (const auto& algebra : algebras) {
     const MonotonicityReport analyzed = SafetyAnalyzer().check_monotonicity(
@@ -384,9 +384,9 @@ TEST(SafetyAnalyzer, SafeVerdictImpliesUniqueStableAssignmentBothOracles) {
       spp::ibgp_figure3_gadget(), spp::ibgp_figure3_fixed(),
       spp::good_gadget_chain(4), spp::bad_gadget_chain(3)};
   for (int i = 0; i < 20; ++i) {
-    instances.push_back(campaign::random_spp_instance(
+    instances.push_back(spp::random_spp_instance(
         "sweep-" + std::to_string(i), 500 + static_cast<std::uint64_t>(i),
-        campaign::RandomSppSweep{}));
+        spp::RandomSppSweep{}));
   }
 
   std::size_t safe_seen = 0;

@@ -138,6 +138,13 @@ TEST(Json, RejectsMalformedInput) {
   // Type mismatches surface as InvalidArgument too.
   EXPECT_THROW(json::parse("3.5").as_u64("x"), InvalidArgument);
   EXPECT_THROW(json::parse("-2").as_u64("x"), InvalidArgument);
+  // An integer past 2^64 - 1 is refused, not clamped to the largest u64.
+  EXPECT_EQ(json::parse("18446744073709551615").as_u64("x"),
+            18446744073709551615ull);
+  EXPECT_THROW(json::parse("18446744073709551616").as_u64("x"),
+               InvalidArgument);
+  EXPECT_THROW(json::parse("99999999999999999999999").as_u64("x"),
+               InvalidArgument);
   // Nesting is bounded, so a long line of '[' is an error, not a stack
   // overflow; the deepest allowed nesting still parses.
   EXPECT_THROW(json::parse(std::string(800000, '[')), InvalidArgument);
@@ -230,6 +237,14 @@ TEST(Wire, SchemaViolationsThrow) {
   EXPECT_THROW(wire::parse_request(
                    R"({"kind": "repair", "random": {"seed": 3,)"
                    R"( "paths_per_node": 2147483648}})"),
+               InvalidArgument);
+  // A seed that does not fit in a u64 is an error, not a request for the
+  // largest u64 seed.
+  EXPECT_THROW(wire::parse_request(
+                   R"({"kind": "repair", "random": {"seed": 18446744073709551616}})"),
+               InvalidArgument);
+  EXPECT_THROW(wire::parse_request(
+                   R"({"kind": "emulate", "gadget": "good", "seed": 99999999999999999999999})"),
                InvalidArgument);
   // Simulate-only fields are validated, not silently defaulted.
   EXPECT_THROW(validate(wire::parse_request(
