@@ -40,7 +40,7 @@ double time_repairs_ms(const fsr::spp::SppInstance& instance,
   const fsr::repair::RepairEngine engine(options);
   const auto start = std::chrono::steady_clock::now();
   for (int rep = 0; rep < reps; ++rep) {
-    const auto report = engine.repair(instance, k_seed);
+    const auto report = engine.repair(instance);
     (void)report;
   }
   const auto stop = std::chrono::steady_clock::now();
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   for (const auto& [name, instance] : workload) {
     repair::RepairOptions options;
     const repair::RepairEngine engine(options);
-    const auto report = engine.repair(instance, k_seed);
+    const auto report = engine.repair(instance);
     const int reps = report.wall_ms > 20.0 ? 3 : 20;
     const double ms = time_repairs_ms(instance, options, reps);
     total_ms += ms;

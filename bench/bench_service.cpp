@@ -40,8 +40,6 @@
 
 namespace {
 
-constexpr std::uint64_t k_seed = 42;
-
 const std::vector<const char*>& gadget_names() {
   static const std::vector<const char*> names = {
       "bad",         "disagree",    "ibgp-figure3",
@@ -69,8 +67,7 @@ std::vector<fsr::api::Request> repair_stream() {
   for (const char* name : gadget_names()) {
     requests.push_back(fsr::api::RepairRequest{
         std::make_shared<const fsr::spp::SppInstance>(
-            fsr::spp::gadget_by_name(name)),
-        k_seed});
+            fsr::spp::gadget_by_name(name))});
   }
   return requests;
 }

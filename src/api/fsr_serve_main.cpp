@@ -33,6 +33,7 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "api/json.h"
 #include "api/service.h"
@@ -43,6 +44,7 @@
 #include "obs/cli.h"
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace {
 
@@ -96,12 +98,11 @@ int main(int argc, char** argv) {
   std::string listen_spec;
   std::string unix_path;
 
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "fsr_serve: %s requires a value\n", flag);
-      std::exit(2);
-    }
-    return argv[++i];
+  const auto need_value = [&](int& i, const char* flag) {
+    return fsr::obs::flag_value(argc, argv, i, "fsr_serve", flag);
+  };
+  const auto int_value = [&](int& i, const char* flag, int min) {
+    return fsr::obs::int_flag_value(argc, argv, i, "fsr_serve", flag, min);
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -112,11 +113,7 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(arg, "--threads") == 0 ||
         std::strcmp(arg, "--shards") == 0) {
-      options.threads = std::atoi(need_value(i, arg));
-      if (options.threads < 1) {
-        std::fprintf(stderr, "fsr_serve: %s needs a value >= 1\n", arg);
-        return 2;
-      }
+      options.threads = int_value(i, arg, 1);
     } else if (std::strcmp(arg, "--listen") == 0) {
       listen_spec = need_value(i, "--listen");
     } else if (std::strcmp(arg, "--unix") == 0) {
@@ -124,26 +121,14 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--round-robin") == 0) {
       options.schedule = SchedulePolicy::round_robin;
     } else if (std::strcmp(arg, "--session-cache") == 0) {
-      const int capacity = std::atoi(need_value(i, "--session-cache"));
-      if (capacity < 0) {
-        std::fprintf(stderr, "fsr_serve: --session-cache needs a value >= 0\n");
-        return 2;
-      }
-      options.session_cache_capacity = static_cast<std::size_t>(capacity);
+      options.session_cache_capacity =
+          static_cast<std::size_t>(int_value(i, "--session-cache", 0));
     } else if (std::strcmp(arg, "--max-edits") == 0) {
-      const int max_edits = std::atoi(need_value(i, "--max-edits"));
-      if (max_edits < 1) {
-        std::fprintf(stderr, "fsr_serve: --max-edits needs a value >= 1\n");
-        return 2;
-      }
-      options.repair.max_edits = static_cast<std::size_t>(max_edits);
+      options.repair.max_edits =
+          static_cast<std::size_t>(int_value(i, "--max-edits", 1));
     } else if (std::strcmp(arg, "--beam") == 0) {
-      const int beam = std::atoi(need_value(i, "--beam"));
-      if (beam < 0) {
-        std::fprintf(stderr, "fsr_serve: --beam needs a value >= 0\n");
-        return 2;
-      }
-      options.repair.beam_width = static_cast<std::size_t>(beam);
+      options.repair.beam_width =
+          static_cast<std::size_t>(int_value(i, "--beam", 0));
     } else if (std::optional<fsr::groundtruth::Mode> mode;
                fsr::groundtruth::consume_mode_flag(argc, argv, i, mode)) {
       if (!mode.has_value()) {
@@ -193,12 +178,13 @@ int main(int argc, char** argv) {
         return 2;
       }
       server_options.tcp_host = listen_spec.substr(0, colon);
-      const int port = std::atoi(listen_spec.c_str() + colon + 1);
-      if (server_options.tcp_host.empty() || port < 0 || port > 65535) {
+      const std::optional<int> port = fsr::util::parse_int(
+          std::string_view(listen_spec).substr(colon + 1), 0, 65535);
+      if (server_options.tcp_host.empty() || !port.has_value()) {
         std::fprintf(stderr, "fsr_serve: --listen needs HOST:PORT\n");
         return 2;
       }
-      server_options.tcp_port = static_cast<std::uint16_t>(port);
+      server_options.tcp_port = static_cast<std::uint16_t>(*port);
     }
     const std::string tcp_host = server_options.tcp_host;
     try {

@@ -66,12 +66,11 @@ struct GroundTruthRequest {
   std::optional<groundtruth::Mode> mode;
 };
 
-/// Counterexample-guided repair of an SPP instance. `seed` drives only the
-/// SPVP ground-truth trials (the campaign layer passes the content-derived
-/// seed to keep repair outcomes content-determined; the CLIs pass --seed).
+/// Counterexample-guided repair of an SPP instance. Like safety analysis
+/// and ground truth, its answer is a pure function of the instance (and
+/// the service options), so the request carries no seed.
 struct RepairRequest {
   std::shared_ptr<const spp::SppInstance> spp;
-  std::uint64_t seed = 1;
 };
 
 /// NDlog emulation (paper Section VI): an SPP instance, or an algebra over

@@ -294,7 +294,7 @@ Response AnalysisService::execute(std::uint64_t id, const Request& request,
       }
       response.warm_session = gate_warm && oracle_warm;
       response.repair = repair::RepairEngine(options_.repair)
-                            .repair(*req->spp, req->seed, sessions);
+                            .repair(*req->spp, sessions);
     } else if (const auto* req = std::get_if<EmulateRequest>(&request)) {
       EmulationOptions emulation = options_.emulation;
       emulation.seed = req->seed;

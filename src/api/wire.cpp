@@ -268,8 +268,6 @@ void append_repair(std::string& out, const repair::RepairReport& report,
            std::to_string(candidate.stable_assignments);
     out += ", \"oracle_budget\": " +
            json_quoted(groundtruth::to_string(candidate.oracle_budget));
-    out += ", \"spvp_converged\": ";
-    out += candidate.spvp_converged ? "true" : "false";
     out += "}";
   }
   out += "]}";
@@ -391,7 +389,6 @@ Request parse_request(const std::string& line) {
     case RequestKind::repair: {
       RepairRequest request;
       request.spp = std::move(payload.spp);
-      request.seed = seed;
       validate(Request(request));
       return request;
     }

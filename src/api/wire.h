@@ -31,8 +31,10 @@
 //                             inline instance; paths are added in ranked
 //                             order (earlier = more preferred at their
 //                             source node)
-//   "seed"   — SPVP-trial seed (repair), emulation seed, or simulation
-//              seed (link delays + churn schedule); optional
+//   "seed"   — emulation seed, or simulation seed (link delays + churn
+//              schedule); optional, and accepted but ignored on the
+//              kinds that draw no randomness (analyze-safety,
+//              ground-truth, repair)
 //   "mode"   — ground-truth oracle override: "sat-search" | "enumerate"
 //   "scenario" — simulate only: churn scenario, one of "steady" (default)
 //              | "staged" | "link-flap" | "session-reset"

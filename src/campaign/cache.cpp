@@ -66,9 +66,9 @@ std::string scenario_cache_key(const Scenario& scenario, bool attempt_repair,
   std::string out = scenario_cache_key(scenario, sim);
   if (attempt_repair && scenario.kind == ScenarioKind::safety &&
       scenario.spp != nullptr) {
-    // Repair outcomes are content-determined (ground-truth trials are
-    // seeded from the content digest), so the marker carries no seed and
-    // duplicate-content scenarios still collapse to one solve. It DOES
+    // Repair outcomes are a pure function of the instance (the search and
+    // its exact oracle draw no randomness), so the marker carries no seed
+    // and duplicate-content scenarios still collapse to one solve. It DOES
     // carry every option that shapes the outcome: the disk cache outlives
     // the process, and a warm run under a different oracle, beam width, or
     // budget must miss, not serve stale verdicts. use_incremental is
@@ -90,9 +90,7 @@ std::string scenario_cache_key(const Scenario& scenario, bool attempt_repair,
            ";relax=" + (repair.allow_relax ? std::string("1") : "0") +
            ";states=" + std::to_string(repair.ground_truth_max_states) +
            ";conflicts=" + std::to_string(repair.ground_truth_max_conflicts) +
-           ";solutions=" + std::to_string(repair.ground_truth_max_solutions) +
-           ";spvp=" + std::to_string(repair.spvp_max_activations) + "x" +
-           std::to_string(repair.spvp_trials);
+           ";solutions=" + std::to_string(repair.ground_truth_max_solutions);
   }
   return out;
 }

@@ -62,13 +62,12 @@ std::string scenario_cache_key(const Scenario& scenario,
 /// marker, so outcomes with and without repair data never alias in the
 /// cache. The marker embeds every RepairOptions field that shapes a repair
 /// outcome (oracle mode, edit and check budgets, relax switch, oracle
-/// budgets, SPVP trial counts) — with the cache persisted across
-/// processes, two runs differing only in --ground-truth must not serve
-/// each other's outcomes. The marker stays seed-free: repair summaries are
-/// content-determined (the runner seeds SPVP ground-truth trials from the
-/// content digest), so content dedup keeps collapsing duplicates with
-/// repair enabled. Simulation scenarios gain the sim marker documented on
-/// the SimOptions overload above.
+/// budgets) — with the cache persisted across processes, two runs
+/// differing only in --ground-truth must not serve each other's outcomes.
+/// The marker stays seed-free: repair draws no randomness, so its summary
+/// is content-determined and content dedup keeps collapsing duplicates
+/// with repair enabled. Simulation scenarios gain the sim marker
+/// documented on the SimOptions overload above.
 std::string scenario_cache_key(const Scenario& scenario, bool attempt_repair,
                                const repair::RepairOptions& repair = {},
                                const sim::SimOptions& sim = {});

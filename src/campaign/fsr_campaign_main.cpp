@@ -9,7 +9,6 @@
 // property on purpose.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -84,12 +83,11 @@ int main(int argc, char** argv) {
   bool simulate = false;
   std::vector<std::int32_t> hierarchy_depths;
 
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "fsr_campaign: %s requires a value\n", flag);
-      std::exit(2);
-    }
-    return argv[++i];
+  const auto need_value = [&](int& i, const char* flag) {
+    return fsr::obs::flag_value(argc, argv, i, "fsr_campaign", flag);
+  };
+  const auto int_value = [&](int& i, const char* flag, int min) {
+    return fsr::obs::int_flag_value(argc, argv, i, "fsr_campaign", flag, min);
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -101,9 +99,10 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--source") == 0) {
       source_names.emplace_back(need_value(i, "--source"));
     } else if (std::strcmp(arg, "--threads") == 0) {
-      options.threads = std::atoi(need_value(i, "--threads"));
+      options.threads = int_value(i, "--threads", 1);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      options.seed = std::strtoull(need_value(i, "--seed"), nullptr, 10);
+      options.seed =
+          fsr::obs::u64_flag_value(argc, argv, i, "fsr_campaign", "--seed");
     } else if (std::strcmp(arg, "--format") == 0) {
       format = need_value(i, "--format");
     } else if (std::strcmp(arg, "--timings") == 0) {
@@ -129,23 +128,12 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strcmp(arg, "--hierarchy-depth") == 0) {
-      const int depth = std::atoi(need_value(i, "--hierarchy-depth"));
-      if (depth < 1) {
-        std::fprintf(stderr,
-                     "fsr_campaign: --hierarchy-depth needs a value >= 1\n");
-        return 2;
-      }
-      hierarchy_depths.push_back(depth);
+      hierarchy_depths.push_back(int_value(i, "--hierarchy-depth", 1));
     } else if (std::strcmp(arg, "--repair") == 0) {
       options.attempt_repair = true;
     } else if (std::strcmp(arg, "--repair-max-edits") == 0) {
-      const int max_edits = std::atoi(need_value(i, "--repair-max-edits"));
-      if (max_edits < 1) {
-        std::fprintf(stderr,
-                     "fsr_campaign: --repair-max-edits needs a value >= 1\n");
-        return 2;
-      }
-      options.repair.max_edits = static_cast<std::size_t>(max_edits);
+      options.repair.max_edits =
+          static_cast<std::size_t>(int_value(i, "--repair-max-edits", 1));
     } else if (std::optional<fsr::groundtruth::Mode> mode;
                fsr::groundtruth::consume_mode_flag(argc, argv, i, mode)) {
       if (!mode.has_value()) {
@@ -160,8 +148,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--cache-dir") == 0) {
       options.cache_dir = need_value(i, "--cache-dir");
     } else if (std::strcmp(arg, "--cache-max-bytes") == 0) {
-      options.cache_max_bytes =
-          std::strtoull(need_value(i, "--cache-max-bytes"), nullptr, 10);
+      options.cache_max_bytes = fsr::obs::u64_flag_value(
+          argc, argv, i, "fsr_campaign", "--cache-max-bytes");
     } else if (std::strcmp(arg, "--list-sources") == 0) {
       for (const std::string& name : builtin_source_names()) {
         std::printf("%s\n", name.c_str());

@@ -175,10 +175,9 @@ CampaignReport CampaignRunner::run_scenarios(std::vector<Scenario> scenarios) {
   // invariants the runner used to guarantee inline — see api/service.h).
   // Two waves keep repair requests content-gated exactly as before: the
   // primary wave answers safety/emulation, and every not-provably-safe SPP
-  // safety scenario of a repair campaign gets a follow-up repair request
-  // seeded from its content digest, so repair outcomes (like safety
-  // verdicts) stay a pure function of content and the cache/dedup
-  // machinery keeps collapsing duplicates.
+  // safety scenario of a repair campaign gets a follow-up repair request.
+  // Repair outcomes (like safety verdicts) are a pure function of content,
+  // so the cache/dedup machinery keeps collapsing duplicates.
   std::vector<std::shared_ptr<const ScenarioOutcome>> outcomes(
       scenarios.size());
   api::AnalysisService service(service_options(options_));
@@ -208,7 +207,6 @@ CampaignReport CampaignRunner::run_scenarios(std::vector<Scenario> scenarios) {
         outcome->safety->verdict == SafetyVerdict::not_provably_safe) {
       api::RepairRequest request;
       request.spp = scenario.spp;
-      request.seed = util::fnv1a64(spp::canonical_spp(*scenario.spp));
       followups.emplace_back(index, service.submit(std::move(request)));
     }
     outcomes[index] = std::move(outcome);

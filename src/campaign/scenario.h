@@ -61,9 +61,9 @@ struct ScenarioOutcome {
   std::optional<sim::SimResult> sim;
   /// Present when the campaign ran with attempt_repair and this scenario
   /// was an unsafe SPP safety scenario: the repair engine's digest. All
-  /// fields are deterministic — the SPVP ground-truth trials are seeded
-  /// from the instance's content digest — so repair data participates in
-  /// the byte-stable JSON and duplicates still share one outcome.
+  /// fields are a pure function of the instance, so repair data
+  /// participates in the byte-stable JSON and duplicates still share one
+  /// outcome.
   std::optional<repair::RepairSummary> repair;
   /// Non-empty when the scenario raised instead of completing; a failed
   /// scenario never aborts the campaign (or pollutes the cache).

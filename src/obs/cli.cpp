@@ -5,9 +5,20 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "util/strings.h"
+
 namespace fsr::obs {
 
 namespace {
+
+[[noreturn]] void bad_integer(const char* program, const char* flag, int min,
+                              const char* value) {
+  std::fprintf(stderr, "%s: %s needs an integer >= %d, not '%s'\n", program,
+               flag, min, value);
+  std::exit(2);
+}
+
+}  // namespace
 
 const char* flag_value(int argc, char** argv, int& i, const char* program,
                        const char* flag) {
@@ -18,7 +29,21 @@ const char* flag_value(int argc, char** argv, int& i, const char* program,
   return argv[++i];
 }
 
-}  // namespace
+int int_flag_value(int argc, char** argv, int& i, const char* program,
+                   const char* flag, int min) {
+  const char* text = flag_value(argc, argv, i, program, flag);
+  const std::optional<int> value = util::parse_int(text, min);
+  if (!value.has_value()) bad_integer(program, flag, min, text);
+  return *value;
+}
+
+std::uint64_t u64_flag_value(int argc, char** argv, int& i,
+                             const char* program, const char* flag) {
+  const char* text = flag_value(argc, argv, i, program, flag);
+  const std::optional<std::uint64_t> value = util::parse_u64(text);
+  if (!value.has_value()) bad_integer(program, flag, 0, text);
+  return *value;
+}
 
 bool consume_diagnostics_flag(int argc, char** argv, int& i,
                               const char* program,
@@ -30,20 +55,10 @@ bool consume_diagnostics_flag(int argc, char** argv, int& i,
     options.metrics_out = flag_value(argc, argv, i, program, "--metrics-out");
   } else if (std::strcmp(arg, "--metrics-interval-ms") == 0) {
     options.metrics_interval_ms =
-        std::atoi(flag_value(argc, argv, i, program, "--metrics-interval-ms"));
-    if (options.metrics_interval_ms < 1) {
-      std::fprintf(stderr, "%s: --metrics-interval-ms needs a value >= 1\n",
-                   program);
-      std::exit(2);
-    }
+        int_flag_value(argc, argv, i, program, "--metrics-interval-ms", 1);
   } else if (std::strcmp(arg, "--recorder") == 0) {
-    const int capacity =
-        std::atoi(flag_value(argc, argv, i, program, "--recorder"));
-    if (capacity < 0) {
-      std::fprintf(stderr, "%s: --recorder needs a value >= 0\n", program);
-      std::exit(2);
-    }
-    options.recorder_capacity = static_cast<std::size_t>(capacity);
+    options.recorder_capacity = static_cast<std::size_t>(
+        int_flag_value(argc, argv, i, program, "--recorder", 0));
     options.recorder_set_explicitly = true;
   } else if (std::strcmp(arg, "--crash-dump") == 0) {
     options.crash_dump = flag_value(argc, argv, i, program, "--crash-dump");

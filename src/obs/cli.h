@@ -28,6 +28,7 @@
 #define FSR_OBS_CLI_H
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -55,6 +56,19 @@ struct DiagnosticsCliOptions {
 bool consume_diagnostics_flag(int argc, char** argv, int& i,
                               const char* program,
                               DiagnosticsCliOptions& options);
+
+/// The value of flag `flag` (argv[i + 1], advancing i); a missing value
+/// prints a usage message to stderr and exits 2.
+const char* flag_value(int argc, char** argv, int& i, const char* program,
+                       const char* flag);
+/// flag_value parsed strictly by util::parse_int (>= min) or
+/// util::parse_u64. Any trailing character, sign or out-of-range value
+/// prints a usage message to stderr and exits 2 — every fsr CLI's integer
+/// flags go through these two, so "--threads 4x" never runs 4 threads.
+int int_flag_value(int argc, char** argv, int& i, const char* program,
+                   const char* flag, int min);
+std::uint64_t u64_flag_value(int argc, char** argv, int& i,
+                             const char* program, const char* flag);
 
 /// The usage text for the shared flags, ready to splice into a tool's
 /// --help output (every line indented two spaces, trailing newline).

@@ -15,7 +15,6 @@
 // repair failed internally, 2 on usage errors.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <optional>
@@ -40,7 +39,7 @@ void print_usage() {
       "                   of good, bad, disagree, ibgp-figure3,\n"
       "                   ibgp-figure3-fixed, good-chain-N, bad-chain-N\n"
       "  --random N       also repair N random fuzz instances\n"
-      "  --seed S         seed for fuzz instances and SPVP trials (default 1)\n"
+      "  --seed S         seed for the --random fuzz instances (default 1)\n"
       "  --threads N      service worker threads (default 1); output is\n"
       "                   byte-identical for any value\n"
       "  --max-edits K    edit-size cap for candidates (default 2)\n"
@@ -76,12 +75,11 @@ int main(int argc, char** argv) {
   std::string format = "json";
   fsr::obs::DiagnosticsCliOptions diagnostics;
 
-  const auto need_value = [&](int& i, const char* flag) -> const char* {
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "fsr_repair: %s requires a value\n", flag);
-      std::exit(2);
-    }
-    return argv[++i];
+  const auto need_value = [&](int& i, const char* flag) {
+    return fsr::obs::flag_value(argc, argv, i, "fsr_repair", flag);
+  };
+  const auto int_value = [&](int& i, const char* flag, int min) {
+    return fsr::obs::int_flag_value(argc, argv, i, "fsr_repair", flag, min);
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -93,36 +91,19 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--gadget") == 0) {
       gadgets.emplace_back(need_value(i, "--gadget"));
     } else if (std::strcmp(arg, "--random") == 0) {
-      random_count = std::atoi(need_value(i, "--random"));
+      random_count = int_value(i, "--random", 0);
     } else if (std::strcmp(arg, "--seed") == 0) {
-      seed = std::strtoull(need_value(i, "--seed"), nullptr, 10);
+      seed = fsr::obs::u64_flag_value(argc, argv, i, "fsr_repair", "--seed");
     } else if (std::strcmp(arg, "--threads") == 0) {
-      service_options.threads = std::atoi(need_value(i, "--threads"));
-      if (service_options.threads < 1) {
-        std::fprintf(stderr, "fsr_repair: --threads needs a value >= 1\n");
-        return 2;
-      }
+      service_options.threads = int_value(i, "--threads", 1);
     } else if (std::strcmp(arg, "--max-edits") == 0) {
-      const int max_edits = std::atoi(need_value(i, "--max-edits"));
-      if (max_edits < 1) {
-        std::fprintf(stderr, "fsr_repair: --max-edits needs a value >= 1\n");
-        return 2;
-      }
-      options.max_edits = static_cast<std::size_t>(max_edits);
+      options.max_edits =
+          static_cast<std::size_t>(int_value(i, "--max-edits", 1));
     } else if (std::strcmp(arg, "--beam") == 0) {
-      const int beam = std::atoi(need_value(i, "--beam"));
-      if (beam < 0) {
-        std::fprintf(stderr, "fsr_repair: --beam needs a value >= 0\n");
-        return 2;
-      }
-      options.beam_width = static_cast<std::size_t>(beam);
+      options.beam_width = static_cast<std::size_t>(int_value(i, "--beam", 0));
     } else if (std::strcmp(arg, "--max-checks") == 0) {
-      const int max_checks = std::atoi(need_value(i, "--max-checks"));
-      if (max_checks < 1) {
-        std::fprintf(stderr, "fsr_repair: --max-checks needs a value >= 1\n");
-        return 2;
-      }
-      options.max_checks = static_cast<std::size_t>(max_checks);
+      options.max_checks =
+          static_cast<std::size_t>(int_value(i, "--max-checks", 1));
     } else if (std::strcmp(arg, "--no-relax") == 0) {
       options.allow_relax = false;
     } else if (std::optional<fsr::groundtruth::Mode> mode;
@@ -190,7 +171,6 @@ int main(int argc, char** argv) {
       fsr::api::RepairRequest request;
       request.spp = std::make_shared<const fsr::spp::SppInstance>(
           std::move(instance));
-      request.seed = seed;
       futures.push_back(service.submit(std::move(request)));
     }
 

@@ -13,21 +13,10 @@
 #include "obs/trace.h"
 #include "spp/translate.h"
 #include "util/error.h"
-#include "util/rng.h"
 #include "util/strings.h"
 
 namespace fsr::repair {
 namespace {
-
-std::uint64_t trial_seed(std::uint64_t seed, const std::string& candidate_key,
-                         int trial) {
-  std::uint64_t x = seed ^ util::fnv1a64(candidate_key) ^
-                    (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(trial + 1));
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  return x;
-}
 
 int kind_weight(EditKind kind) {
   switch (kind) {
@@ -80,11 +69,12 @@ struct Evaluation {
   /// (constraints the candidate itself introduced, e.g. a merged ranking
   /// pair after a demote) — the search must branch on these too.
   std::vector<PolicyEdit> extra_core_edits;
-  std::optional<spp::SppInstance> edited;  // set when drop/demote edits ran
+  /// Set on a solver-safe candidate made only of drop/demote edits: the
+  /// stable-assignment oracle can validate it.
+  bool oracle_applies = false;
   /// The candidate's edited rankings as per-node deltas against the base —
-  /// the incremental oracle's query shape (set alongside `edited`).
+  /// the incremental oracle's query shape (set alongside oracle_applies).
   std::vector<groundtruth::RankingDelta> deltas;
-  bool pure_spp = false;                   // no relax edits in the set
 };
 
 /// One repair search: owns all per-run bookkeeping plus the shared search
@@ -101,10 +91,9 @@ struct Evaluation {
 class Search {
  public:
   Search(const spp::SppInstance& instance, const RepairOptions& options,
-         std::uint64_t seed, const RepairSessions& sessions)
+         const RepairSessions& sessions)
       : instance_(instance),
         options_(options),
-        seed_(seed),
         spec_(spp::algebra_from_spp(instance)->symbolic()),
         gate_(sessions.strict_gate) {
     // Snapshot the borrowed gate's lifetime counter NOW so every gate
@@ -514,7 +503,7 @@ class Search {
       }
     }
     if (remaining == 0) return eval;  // the edits emptied the instance
-    eval.pure_spp = relax_edits.empty();
+    const bool pure_spp = relax_edits.empty();
 
     // The candidate's constraint set, derived exactly as the Section III-B
     // translation would: adjacent ranking pairs + permitted-suffix
@@ -592,8 +581,8 @@ class Search {
     eval.holds = result.holds;
     eval.core = result.core;
     if (result.holds) {
-      if (eval.pure_spp && spp_edit_count > 0) {
-        eval.edited = apply_edits(instance_, state.edits);
+      if (pure_spp && spp_edit_count > 0) {
+        eval.oracle_applies = true;
         // The candidate's oracle query: one RankingDelta per node whose
         // ranking the edits changed (everything else rides on the base).
         for (const auto& [node, ranked] : rankings) {
@@ -625,20 +614,7 @@ class Search {
     RepairCandidate candidate;
     candidate.edits = state.edits;
     candidate.solver_safe = true;
-    if (!(eval.pure_spp && eval.edited.has_value())) {
-      candidate.ground_truth = GroundTruth::not_applicable;
-      return candidate;
-    }
-    bool converged = true;
-    for (int trial = 0; trial < options_.spvp_trials; ++trial) {
-      util::Rng rng(trial_seed(seed_, state.key, trial));
-      converged = converged &&
-                  spp::simulate_spvp(*eval.edited, rng,
-                                     options_.spvp_max_activations)
-                      .converged;
-    }
-    candidate.spvp_converged = converged;
-
+    if (!eval.oracle_applies) return candidate;  // not_applicable
     bool decided = false;
     bool has_stable = false;
     std::size_t count = 0;
@@ -664,24 +640,21 @@ class Search {
         oracle_ = groundtruth::make_engine(options_.ground_truth,
                                            oracle_options(options_));
       }
-      const groundtruth::Result truth = oracle_->analyze(*eval.edited);
+      // evaluate() already rejected every edit set apply_edits refuses.
+      const groundtruth::Result truth =
+          oracle_->analyze(*apply_edits(instance_, state.edits));
       decided = truth.decided;
       has_stable = truth.has_stable;
       count = truth.count;
       candidate.oracle_budget = truth.budget_stop;
     }
-    if (decided) {
-      candidate.stable_assignments = count;
-      candidate.ground_truth = (has_stable && converged)
-                                   ? GroundTruth::verified
-                                   : GroundTruth::failed;
-    } else {
-      // The oracle's budget ran out (see candidate.oracle_budget: states
-      // for enumerate, conflicts for sat-search): the solver verdict
-      // stands unverified; SPVP convergence is still recorded.
-      candidate.ground_truth = converged ? GroundTruth::not_applicable
-                                         : GroundTruth::failed;
-    }
+    // An undecided oracle (its budget ran out; see candidate.oracle_budget:
+    // states for enumerate, conflicts for sat-search) leaves the solver
+    // verdict standing unverified.
+    if (!decided) return candidate;
+    candidate.stable_assignments = count;
+    candidate.ground_truth =
+        has_stable ? GroundTruth::verified : GroundTruth::failed;
     return candidate;
   }
 
@@ -709,7 +682,6 @@ class Search {
 
   const spp::SppInstance& instance_;
   const RepairOptions& options_;
-  std::uint64_t seed_;
   algebra::SymbolicSpec spec_;
   // Borrowed read-only gate session (see RepairSessions); answers the
   // initial check so the mutable search session below can stay unbuilt
@@ -760,14 +732,13 @@ const char* to_string(GroundTruth truth) noexcept {
 std::string RepairCandidate::describe() const { return edits_key(edits); }
 
 RepairReport RepairEngine::repair(const spp::SppInstance& instance,
-                                  std::uint64_t seed,
                                   const RepairSessions& sessions) const {
   obs::Span span("repair.run");
   span.arg("instance", instance.name());
   const auto start = std::chrono::steady_clock::now();
   RepairReport report;
   {
-    Search search(instance, options_, seed, sessions);
+    Search search(instance, options_, sessions);
     report = search.run();
   }
   // Time the whole Search lifetime so borrowed-session runs (construction
@@ -855,10 +826,7 @@ std::string to_json(const RepairReport& report) {
            ", \"stable_assignments\": " +
            std::to_string(candidate.stable_assignments) +
            ", \"oracle_budget\": " +
-           quoted(groundtruth::to_string(candidate.oracle_budget)) +
-           ", \"spvp_converged\": ";
-    out += candidate.spvp_converged ? "true" : "false";
-    out += "}";
+           quoted(groundtruth::to_string(candidate.oracle_budget)) + "}";
     out += i + 1 < report.repairs.size() ? ",\n" : "\n";
   }
   out += "  ]\n}\n";
@@ -907,9 +875,8 @@ std::string render_text(const RepairReport& report) {
     out += "  " + std::to_string(i + 1) + ". " + candidate.describe();
     out += "  [" + std::string(to_string(candidate.ground_truth));
     if (candidate.ground_truth != GroundTruth::not_applicable) {
-      std::snprintf(buf, sizeof(buf), ", %zu stable assignment(s), spvp %s",
-                    candidate.stable_assignments,
-                    candidate.spvp_converged ? "converged" : "diverged");
+      std::snprintf(buf, sizeof(buf), ", %zu stable assignment(s)",
+                    candidate.stable_assignments);
       out += buf;
     }
     out += "]\n";

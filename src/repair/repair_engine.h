@@ -18,10 +18,12 @@
 //      edits were demanded by counterexample cores (core-frequency
 //      scoring) and only the best beam_width survive — the pruning that
 //      keeps max_edits >= 3 tractable on Rocketfuel-sized instances;
-//   5. cross-validates solver-safe candidates against ground truth — a
-//      stable state must exist and repeated simulate_spvp runs must
-//      converge. With the default sat-search oracle the candidates share
-//      ONE persistent StableSatSession: the base instance is encoded once
+//   5. cross-validates solver-safe drop/demote candidates against the
+//      exact stable-assignment oracle — a stable state must exist (the
+//      paper's theorem already makes a solver-safe policy converge under
+//      every activation order, so no sampled SPVP run adds evidence). With
+//      the default sat-search oracle the candidates share ONE persistent
+//      StableSatSession: the base instance is encoded once
 //      and each candidate costs a per-node CNF delta (clause groups +
 //      assumptions), mirroring how the SMT side amortises re-checks;
 //   6. returns all fixes of minimal edit size, ranked (ground-truth
@@ -50,10 +52,10 @@
 
 namespace fsr::repair {
 
-/// How a solver-safe candidate fared against the SPP ground truth.
+/// How a solver-safe candidate fared against the stable-assignment oracle.
 enum class GroundTruth {
-  verified,        // >= 1 stable assignment and every SPVP trial converged
-  failed,          // ground truth contradicted the solver verdict
+  verified,        // the oracle decided and found >= 1 stable assignment
+  failed,          // the oracle decided and found none
   not_applicable,  // candidate includes constraint-level (relax) edits, or
                    // the oracle's budget ran out before a verdict
 };
@@ -65,7 +67,6 @@ struct RepairCandidate {
   bool solver_safe = false;
   GroundTruth ground_truth = GroundTruth::not_applicable;
   std::size_t stable_assignments = 0;  // when ground truth ran
-  bool spvp_converged = false;         // when ground truth ran
   /// Which oracle budget (if any) cut the validation short. `none` when
   /// no oracle ran (relax edits) or no budget interfered. Any other value
   /// marks stable_assignments as a floor; on a not_applicable verdict it
@@ -111,8 +112,6 @@ struct RepairOptions {
   std::uint64_t ground_truth_max_conflicts = 1u << 20;
   /// Stable-assignment enumeration bound reported per candidate.
   std::size_t ground_truth_max_solutions = 64;
-  std::uint64_t spvp_max_activations = 20000;
-  int spvp_trials = 3;
 };
 
 struct RepairReport {
@@ -185,13 +184,11 @@ class RepairEngine {
 
   const RepairOptions& options() const noexcept { return options_; }
 
-  /// Runs the repair loop. `seed` drives only the SPVP ground-truth trials
-  /// (the search itself is deterministic in the instance), so a report's
-  /// deterministic fields are a pure function of (instance, options, seed).
-  /// `sessions` optionally lends warm solver state (see RepairSessions);
-  /// the deterministic report fields do not depend on what was lent.
+  /// Runs the repair loop. A report's deterministic fields are a pure
+  /// function of (instance, options). `sessions` optionally lends warm
+  /// solver state (see RepairSessions); the deterministic report fields do
+  /// not depend on what was lent.
   RepairReport repair(const spp::SppInstance& instance,
-                      std::uint64_t seed = 1,
                       const RepairSessions& sessions = {}) const;
 
  private:

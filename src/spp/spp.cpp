@@ -222,58 +222,4 @@ std::vector<Assignment> enumerate_stable_assignments(
   return std::move(scan.assignments);
 }
 
-SpvpResult simulate_spvp(const SppInstance& instance, util::Rng& rng,
-                         std::uint64_t max_activations) {
-  const std::vector<std::string> nodes = instance.nodes();
-  SpvpResult result;
-  if (nodes.empty()) {
-    result.converged = true;
-    return result;
-  }
-
-  Assignment chosen;
-  // Quiescence detection: converged once `nodes.size()` consecutive
-  // activations (a full randomized sweep with certainty margin) caused no
-  // change AND a deterministic sweep confirms a fixed point.
-  std::uint64_t since_change = 0;
-  const auto n = static_cast<std::int64_t>(nodes.size());
-
-  const auto apply_activation = [&](const std::string& node) {
-    const auto best = best_consistent_choice(instance, node, chosen);
-    const auto it = chosen.find(node);
-    const bool has = it != chosen.end();
-    if (best.has_value() != has ||
-        (best.has_value() && has && *best != it->second)) {
-      if (best.has_value()) {
-        chosen[node] = *best;
-      } else {
-        chosen.erase(node);
-      }
-      return true;
-    }
-    return false;
-  };
-
-  const auto is_fixed_point = [&]() {
-    return is_stable_assignment(instance, chosen);
-  };
-
-  while (result.activations < max_activations) {
-    const auto pick = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
-    ++result.activations;
-    if (apply_activation(nodes[pick])) {
-      ++result.route_changes;
-      since_change = 0;
-    } else {
-      ++since_change;
-    }
-    if (since_change >= nodes.size() * 4 && is_fixed_point()) {
-      result.converged = true;
-      result.final_assignment = chosen;
-      return result;
-    }
-  }
-  return result;
-}
-
 }  // namespace fsr::spp

@@ -12,11 +12,10 @@
 // plain single-destination SPP.
 //
 // This module also provides ground truth for the toolkit's verdicts:
-//   * enumerate_stable_assignments — exhaustive search for stable path
-//     assignments (GOOD gadget: exactly 1; DISAGREE: 2; BAD: none);
-//   * simulate_spvp — a randomized asynchronous Simple Path Vector Protocol
-//     run, used to observe convergence/oscillation independently of the
-//     NDlog emulation stack.
+// enumerate_stable_assignments, an exhaustive search for stable path
+// assignments (GOOD gadget: exactly 1; DISAGREE: 2; BAD: none). How SPVP
+// actually runs is src/sim's and src/fsr's emulation's job (see
+// docs/ARCHITECTURE.md, "One SPVP semantics").
 #ifndef FSR_SPP_SPP_H
 #define FSR_SPP_SPP_H
 
@@ -27,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "util/rng.h"
 
 namespace fsr::spp {
 
@@ -99,8 +97,8 @@ using Assignment = std::map<std::string, Path>;
 /// The path `node` would select under assignment `chosen`: its highest
 /// ranked permitted path whose one-step suffix is the current selection of
 /// the next hop (or a direct path to the destination). This is the SPVP
-/// selection rule — shared by the stability predicate, simulate_spvp, and
-/// the event-driven simulator in src/sim.
+/// selection rule — shared by the stability predicate and the event-driven
+/// simulator in src/sim.
 std::optional<Path> best_consistent_choice(const SppInstance& instance,
                                            const std::string& node,
                                            const Assignment& chosen);
@@ -145,23 +143,6 @@ struct BudgetedEnumeration {
 BudgetedEnumeration enumerate_stable_assignments_budgeted(
     const SppInstance& instance, std::uint64_t max_states,
     std::size_t max_solutions = static_cast<std::size_t>(-1));
-
-/// Result of an asynchronous SPVP simulation.
-struct SpvpResult {
-  bool converged = false;
-  /// Number of node activations performed (== max_activations when the
-  /// run was cut off without quiescing).
-  std::uint64_t activations = 0;
-  /// Number of times some node changed its selected path.
-  std::uint64_t route_changes = 0;
-  Assignment final_assignment;  // meaningful when converged
-};
-
-/// Runs SPVP with uniformly random node activations: each activation makes
-/// one node re-select its best consistent permitted path given current
-/// neighbour selections. Converged means a full sweep changes nothing.
-SpvpResult simulate_spvp(const SppInstance& instance, util::Rng& rng,
-                         std::uint64_t max_activations = 100000);
 
 }  // namespace fsr::spp
 

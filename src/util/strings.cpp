@@ -1,6 +1,7 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 
 namespace fsr::util {
@@ -85,6 +86,30 @@ std::string json_quoted(const std::string& text) {
   out += json_escape(text);
   out += '"';
   return out;
+}
+
+namespace {
+
+template <typename T>
+std::optional<T> parse_integer(std::string_view text, T min, T max) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+}  // namespace
+
+std::optional<std::uint64_t> parse_u64(std::string_view text) {
+  return parse_integer(text, std::numeric_limits<std::uint64_t>::min(),
+                       std::numeric_limits<std::uint64_t>::max());
+}
+
+std::optional<int> parse_int(std::string_view text, int min, int max) {
+  return parse_integer(text, min, max);
 }
 
 std::uint64_t fnv1a64(std::string_view text) noexcept {

@@ -3,6 +3,8 @@
 #define FSR_UTIL_STRINGS_H
 
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,8 +37,18 @@ std::string json_escape(const std::string& text);
 /// json_escape plus surrounding double quotes.
 std::string json_quoted(const std::string& text);
 
+/// Parses ALL of `text` as a base-10 integer: a uint64 (parse_u64) or an
+/// int in [min, max] (parse_int). nullopt on an empty string, any
+/// character the number does not consume (space, '+', suffix, exponent, a
+/// '-' on parse_u64) or a value outside the range — the strict counterpart
+/// of atoi/strtoull, which read "4x" as 4, "abc" as 0 and "1e6" as 1.
+std::optional<std::uint64_t> parse_u64(std::string_view text);
+std::optional<int> parse_int(std::string_view text,
+                             int min = std::numeric_limits<int>::min(),
+                             int max = std::numeric_limits<int>::max());
+
 /// 64-bit FNV-1a — the toolkit's one content-hash primitive (seed
-/// derivation, cache digests, repair trial seeds, shard-ring placement).
+/// derivation, cache digests, shard-ring placement).
 std::uint64_t fnv1a64(std::string_view text) noexcept;
 
 /// fnv1a64 of a canonical form, rendered as 16 hex digits — the short

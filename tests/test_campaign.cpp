@@ -441,9 +441,8 @@ TEST(Cache, RepairModeSeparatesKeys) {
   safety.seed = 7;
   safety.spp = std::make_shared<const spp::SppInstance>(spp::bad_gadget());
   // Outcomes with repair data must not alias plain safety outcomes, but
-  // repair results are content-determined (SPVP trials seeded from the
-  // content digest), so the repair key stays seed-free and duplicates
-  // still dedup.
+  // repair results are content-determined (repair draws no randomness),
+  // so the repair key stays seed-free and duplicates still dedup.
   EXPECT_NE(scenario_cache_key(safety, true), scenario_cache_key(safety, false));
   EXPECT_EQ(scenario_cache_key(safety, false), scenario_cache_key(safety));
   Scenario reseeded = safety;

@@ -1,4 +1,4 @@
-// Differential fuzz harness: four independent stable-paths oracles swept
+// Differential fuzz harness: three independent stable-paths oracles swept
 // over 300+ seeded random SPP instances (plus random drop/demote edit
 // schedules per instance) and held to agreement —
 //
@@ -6,14 +6,22 @@
 //      clause groups + assumptions, per-edit CNF deltas);
 //   2. scratch SAT (solve_stable_assignments: full re-encode per query);
 //   3. capped brute-force enumeration (the seed toolkit's oracle);
-//   4. seeded SPVP simulation (a protocol run, not a solver).
+//
+// and the two SPVP semantics the service runs held to the oracles, the
+// way a protocol implementation is checked against its formal model:
+//
+//   * fsr::sim, the event-driven simulator (base and edited instances);
+//   * the generated NDlog implementation under emulate_spp (base
+//     instances).
 //
 // Checked per instance: existence verdict, exact model count (wherever a
 // backend's bound permits exactness), the full canonical witness set
 // between the two SAT paths, witness validity under the stability
-// predicate, and SPVP convergence landing inside the enumerated set. Any
-// disagreement fails with the instance's generator seed and a full dump,
-// so every finding reproduces from one integer.
+// predicate, and every converged or quiesced protocol run ending in a
+// stable assignment of the SAT set — never on an instance without one,
+// and on the unique one where exactly one exists. Any disagreement fails
+// with the instance's generator seed and a full dump, so every finding
+// reproduces from one integer.
 //
 // The sweep seed base comes from FSR_FUZZ_SEED (default 9500) — CI pins it
 // so the fuzz lane is reproducible run over run. Runs under the `fuzz`
@@ -26,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "fsr/emulation.h"
 #include "groundtruth/engine.h"
 #include "groundtruth/stable_sat.h"
 #include "repair/edit.h"
@@ -34,6 +43,7 @@
 #include "spp/random_instance.h"
 #include "spp/spp.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace fsr::groundtruth {
 namespace {
@@ -45,7 +55,12 @@ constexpr std::size_t k_solution_bound = std::size_t{1} << 12;
 std::uint64_t fuzz_seed_base() {
   const char* env = std::getenv("FSR_FUZZ_SEED");
   if (env == nullptr || *env == '\0') return 9500;
-  return std::strtoull(env, nullptr, 10);
+  const std::optional<std::uint64_t> seed = util::parse_u64(env);
+  if (!seed.has_value()) {
+    ADD_FAILURE() << "FSR_FUZZ_SEED is not an integer: '" << env << "'";
+    return 9500;
+  }
+  return *seed;
 }
 
 /// Everything needed to reproduce a finding by hand.
@@ -105,22 +120,63 @@ void expect_enumeration_agrees(const StableSearchResult& sat,
   }
 }
 
-void expect_spvp_agrees(const StableSearchResult& sat,
-                        const spp::SppInstance& instance,
-                        std::uint64_t spvp_seed) {
-  util::Rng rng(spvp_seed);
-  const spp::SpvpResult run = spp::simulate_spvp(instance, rng, 20000);
-  if (!run.converged) return;  // oscillation/cutoff proves nothing by itself
-  EXPECT_TRUE(spp::is_stable_assignment(instance, run.final_assignment))
+/// A protocol run's fixed point held to the SAT oracle: stable, in the
+/// enumerated set when the count is exact (so on the unique assignment
+/// when there is exactly one), and never on an instance without one.
+void expect_fixed_point_agrees(const StableSearchResult& sat,
+                               const spp::SppInstance& instance,
+                               const spp::Assignment& fixed_point,
+                               const char* semantics) {
+  EXPECT_TRUE(spp::is_stable_assignment(instance, fixed_point))
+      << semantics << " settled on an unstable assignment\n"
       << dump_instance(instance);
-  EXPECT_TRUE(sat.has_stable) << dump_instance(instance);
-  if (sat.count_exact) {
-    EXPECT_NE(std::find(sat.assignments.begin(), sat.assignments.end(),
-                        run.final_assignment),
-              sat.assignments.end())
-        << "SPVP fixed point missing from the enumerated stable set\n"
+  EXPECT_TRUE(sat.has_stable)
+      << semantics << " settled although no stable assignment exists\n"
+      << dump_instance(instance);
+  if (!sat.count_exact) return;
+  EXPECT_NE(std::find(sat.assignments.begin(), sat.assignments.end(),
+                      fixed_point),
+            sat.assignments.end())
+      << semantics << " fixed point missing from the SAT stable set\n"
+      << dump_instance(instance);
+  if (sat.count == 1) {
+    EXPECT_EQ(fixed_point, sat.assignments.front())
+        << semantics << " missed the unique stable assignment\n"
         << dump_instance(instance);
   }
+}
+
+void expect_sim_agrees(const StableSearchResult& sat,
+                       const spp::SppInstance& instance,
+                       std::uint64_t sim_seed) {
+  sim::SimOptions options;
+  options.seed = sim_seed;
+  const sim::SimResult run = sim::simulate(instance, options);
+  // Oscillation or cutoff proves nothing by itself: a multi-stable
+  // instance may cycle under one timing and settle under another.
+  if (run.converged) {
+    expect_fixed_point_agrees(sat, instance, run.final_assignment,
+                              "fsr::sim");
+  }
+}
+
+/// Runs the generated implementation (100 ms batches, 60 s emulated cap);
+/// true when it quiesced.
+bool expect_emulation_agrees(const StableSearchResult& sat,
+                             const spp::SppInstance& instance,
+                             std::uint64_t emulation_seed) {
+  EmulationOptions options;
+  options.batch_interval = 100 * net::k_millisecond;
+  options.max_time = 60 * net::k_second;
+  options.seed = emulation_seed;
+  const EmulationResult run = emulate_spp(instance, options);
+  if (!run.quiesced) return false;
+  spp::Assignment fixed_point;
+  for (const auto& [node, route] : run.best_routes) {
+    if (node != instance.destination()) fixed_point.emplace(node, route.second);
+  }
+  expect_fixed_point_agrees(sat, instance, fixed_point, "emulate_spp");
+  return true;
 }
 
 /// A seeded random drop or demote edit applicable to `instance`, or
@@ -146,7 +202,7 @@ std::optional<repair::PolicyEdit> random_edit(const spp::SppInstance& instance,
   return std::nullopt;
 }
 
-TEST(Differential, FourOraclesAgreeAcrossTheFuzzSweep) {
+TEST(Differential, OraclesAndProtocolRunsAgreeAcrossTheFuzzSweep) {
   const std::uint64_t base = fuzz_seed_base();
 
   spp::RandomSppSweep plain;  // defaults: 3-6 nodes, sparse
@@ -157,6 +213,8 @@ TEST(Differential, FourOraclesAgreeAcrossTheFuzzSweep) {
   std::size_t with_stable = 0;
   std::size_t multi_stable = 0;
   std::size_t edited_queries = 0;
+  std::size_t quiesced = 0;
+  std::size_t multi_stable_unquiesced = 0;
   for (std::size_t i = 0; i < k_instances; ++i) {
     const std::uint64_t seed = base + i;
     const spp::RandomSppSweep& sweep = i % 2 == 0 ? plain : dense;
@@ -172,9 +230,12 @@ TEST(Differential, FourOraclesAgreeAcrossTheFuzzSweep) {
         session.analyze({}, k_solution_bound);
     expect_same_search(incremental, scratch, instance);
     expect_enumeration_agrees(scratch, instance);
-    expect_spvp_agrees(scratch, instance, /*spvp_seed=*/base + 31 * i);
+    expect_sim_agrees(scratch, instance, /*sim_seed=*/seed);
+    const bool settled = expect_emulation_agrees(scratch, instance, seed);
+    if (settled) ++quiesced;
     if (scratch.has_stable) ++with_stable;
     if (scratch.count > 1) ++multi_stable;
+    if (scratch.count > 1 && !settled) ++multi_stable_unquiesced;
 
     // Random edit schedules: the same persistent session answers each
     // edited configuration via a CNF delta; scratch re-encodes the edited
@@ -194,8 +255,8 @@ TEST(Differential, FourOraclesAgreeAcrossTheFuzzSweep) {
       const StableSearchResult edited_incremental =
           session.analyze({delta}, k_solution_bound);
       expect_same_search(edited_incremental, edited_scratch, *edited);
-      expect_spvp_agrees(edited_scratch, *edited,
-                         /*spvp_seed=*/base + 31 * i + round + 1);
+      expect_sim_agrees(edited_scratch, *edited,
+                        /*sim_seed=*/seed + round + 1);
       ++edited_queries;
     }
     const StableSearchResult back = session.analyze({}, k_solution_bound);
@@ -203,10 +264,16 @@ TEST(Differential, FourOraclesAgreeAcrossTheFuzzSweep) {
   }
 
   // The sweep must actually exercise the interesting shapes: stable and
-  // multi-stable instances, and a healthy number of edited queries.
+  // multi-stable instances, a healthy number of edited queries, mostly
+  // quiescing emulations (so the fixed-point checks bite), and at least
+  // one multi-stable instance the generated implementation never settles
+  // — the declared semantics of docs/ARCHITECTURE.md ("One SPVP
+  // semantics"), which a sweep of only quiescing runs would not cover.
   EXPECT_GT(with_stable, k_instances / 2);
   EXPECT_GT(multi_stable, 0u);
   EXPECT_GT(edited_queries, k_instances);
+  EXPECT_GT(quiesced, k_instances / 2);
+  EXPECT_GT(multi_stable_unquiesced, 0u);
 }
 
 TEST(Differential, EventSimulatorFixedPointsMatchTheSatOracle) {

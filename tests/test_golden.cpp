@@ -28,8 +28,6 @@
 namespace fsr::repair {
 namespace {
 
-constexpr std::uint64_t k_seed = 7;  // drives only the SPVP trials
-
 std::vector<std::pair<std::string, spp::SppInstance>> corpus() {
   std::vector<std::pair<std::string, spp::SppInstance>> out;
   out.emplace_back("good", spp::good_gadget());
@@ -49,7 +47,7 @@ TEST(GoldenRepair, ReportsMatchTheSnapshots) {
   const RepairEngine engine;  // default options = the documented behaviour
   for (const auto& [name, instance] : corpus()) {
     SCOPED_TRACE(name);
-    const std::string rendered = to_json(engine.repair(instance, k_seed));
+    const std::string rendered = to_json(engine.repair(instance));
     const std::string path =
         std::string(FSR_GOLDEN_DIR) + "/" + name + ".repair.json";
     if (update) {
@@ -71,14 +69,14 @@ TEST(GoldenRepair, ReportsMatchTheSnapshots) {
   }
 }
 
-TEST(GoldenRepair, SnapshotsAreSeedStable) {
-  // The deterministic fields must not depend on the SPVP seed beyond what
-  // the report admits: re-running the corpus with the SAME seed twice is
-  // byte-identical (the golden diff's precondition).
+TEST(GoldenRepair, SnapshotsAreRepeatable) {
+  // The deterministic fields are a pure function of (instance, options):
+  // re-running the corpus is byte-identical (the golden diff's
+  // precondition).
   const RepairEngine engine;
   for (const auto& [name, instance] : corpus()) {
-    EXPECT_EQ(to_json(engine.repair(instance, k_seed)),
-              to_json(engine.repair(instance, k_seed)))
+    EXPECT_EQ(to_json(engine.repair(instance)),
+              to_json(engine.repair(instance)))
         << name;
   }
 }

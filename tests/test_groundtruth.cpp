@@ -2,8 +2,9 @@
 // core, the stable-assignment CNF encoding, and the engine facade — ending
 // in the acceptance sweep: the sat-search backend must agree with exact
 // enumeration on the whole gadget library plus 200 seeded random SPP
-// instances (existence verdict, exact solution count, and witnesses that
-// hold up under both the stability predicate and seeded SPVP runs).
+// instances (existence verdict, exact solution count, witnesses that hold
+// up under the stability predicate, and seeded fsr::sim runs that settle
+// only on stable assignments).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "groundtruth/sat_solver.h"
 #include "groundtruth/stable_sat.h"
 #include "repair/edit.h"
+#include "sim/simulator.h"
 #include "spp/gadgets.h"
 #include "spp/random_instance.h"
 #include "spp/spp.h"
@@ -552,7 +554,7 @@ TEST(Engine, SatBackendReportsUndecidedOnZeroConflictBudget) {
 void expect_agreement(const spp::SppInstance& instance,
                       const GroundTruthEngine& sat,
                       const GroundTruthEngine& enumerate,
-                      std::uint64_t spvp_seed) {
+                      std::uint64_t sim_seed) {
   const Result a = sat.analyze(instance);
   const Result b = enumerate.analyze(instance);
   ASSERT_TRUE(b.decided) << instance.name() << ": enumeration was capped";
@@ -568,15 +570,16 @@ void expect_agreement(const spp::SppInstance& instance,
     EXPECT_EQ(*a.witness, *b.witness) << instance.name();
     EXPECT_TRUE(spp::is_stable_assignment(instance, *a.witness))
         << instance.name();
-    // Spot-check against the protocol: seeded SPVP, when it converges,
-    // lands on one of the enumerated stable assignments.
-    util::Rng rng(spvp_seed);
-    const spp::SpvpResult run = spp::simulate_spvp(instance, rng, 50000);
-    if (run.converged) {
-      EXPECT_TRUE(spp::is_stable_assignment(instance, run.final_assignment))
-          << instance.name();
-      EXPECT_TRUE(a.has_stable) << instance.name();
-    }
+  }
+  // Spot-check against the protocol: the event-driven simulator, when it
+  // converges, lands on a stable assignment — so never where none exists.
+  sim::SimOptions sim_options;
+  sim_options.seed = sim_seed;
+  const sim::SimResult run = sim::simulate(instance, sim_options);
+  if (run.converged) {
+    EXPECT_TRUE(spp::is_stable_assignment(instance, run.final_assignment))
+        << instance.name();
+    EXPECT_TRUE(a.has_stable) << instance.name();
   }
 }
 
@@ -595,7 +598,7 @@ TEST(Agreement, EveryGadgetInTheLibrary) {
       spp::good_gadget_chain(4),  spp::bad_gadget_chain(2),
       spp::bad_gadget_chain(4)};
   for (const spp::SppInstance& gadget : gadgets) {
-    expect_agreement(gadget, *sat, *enumerate, /*spvp_seed=*/7);
+    expect_agreement(gadget, *sat, *enumerate, /*sim_seed=*/7);
   }
 }
 
@@ -618,7 +621,7 @@ TEST(Agreement, TwoHundredSeededRandomInstances) {
         "agreement-" + std::to_string(i),
         /*seed=*/9000 + static_cast<std::uint64_t>(i), sweep);
     expect_agreement(instance, *sat, *enumerate,
-                     /*spvp_seed=*/31 + static_cast<std::uint64_t>(i));
+                     /*sim_seed=*/31 + static_cast<std::uint64_t>(i));
     const Result verdict = sat->analyze(instance);
     if (verdict.has_stable) ++with_stable;
     if (verdict.count > 1) ++multi_stable;

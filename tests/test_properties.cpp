@@ -2,8 +2,9 @@
 // three methods together:
 //
 //   * Theorem 4.1, empirically: whenever the analyzer reports SAFE
-//     (strictly monotone), the asynchronous SPVP simulator converges, a
-//     stable assignment exists, and the NDlog emulation quiesces.
+//     (strictly monotone), the event-driven SPVP simulator converges under
+//     several seeded timings, a stable assignment exists, and the NDlog
+//     emulation quiesces.
 //   * Contrapositive ground truth: when exhaustive enumeration finds NO
 //     stable assignment, the analyzer must NOT report safe.
 //   * The dispute-cycle detector agrees exactly with the solver verdict
@@ -18,6 +19,7 @@
 
 #include "fsr/emulation.h"
 #include "fsr/safety_analyzer.h"
+#include "sim/simulator.h"
 #include "spp/gadgets.h"
 #include "spp/dispute_wheel.h"
 #include "spp/spp.h"
@@ -104,12 +106,14 @@ TEST_P(RandomSppProperty, SolverVerdictConsistentWithGroundTruth) {
     EXPECT_FALSE(safe) << instance.name();
   }
 
-  // Ground truth 2: dynamics. Safe implies convergence of SPVP from
-  // multiple activation schedules...
+  // Ground truth 2: dynamics. Safe implies convergence of SPVP under
+  // multiple seeded link delays and staged start-up schedules...
   if (safe) {
-    for (std::uint64_t spvp_seed = 1; spvp_seed <= 3; ++spvp_seed) {
-      util::Rng rng(GetParam() * 1000 + spvp_seed);
-      const auto run = spp::simulate_spvp(instance, rng, 50000);
+    for (std::uint64_t sim_seed = 1; sim_seed <= 3; ++sim_seed) {
+      sim::SimOptions sim_options;
+      sim_options.seed = GetParam() * 1000 + sim_seed;
+      sim_options.scenario = "staged";
+      const sim::SimResult run = sim::simulate(instance, sim_options);
       EXPECT_TRUE(run.converged) << instance.name();
     }
     // ...and of the generated NDlog implementation.

@@ -66,7 +66,7 @@ TEST(ApplyEdits, RelaxEditsAreConstraintLevelOnly) {
 
 void expect_verified_single_edit_repair(const spp::SppInstance& instance) {
   const RepairEngine engine;
-  const RepairReport report = engine.repair(instance, /*seed=*/7);
+  const RepairReport report = engine.repair(instance);
   EXPECT_FALSE(report.already_safe);
   EXPECT_FALSE(report.initial_core.empty());
   ASSERT_TRUE(report.repaired());
@@ -76,7 +76,6 @@ void expect_verified_single_edit_repair(const spp::SppInstance& instance) {
   EXPECT_TRUE(best->solver_safe);
   EXPECT_EQ(best->ground_truth, GroundTruth::verified);
   EXPECT_GE(best->stable_assignments, 1u);
-  EXPECT_TRUE(best->spvp_converged);
 
   // The claimed fix must hold end to end: apply the edits and the analyzer
   // must prove the edited instance safe.
@@ -183,8 +182,8 @@ TEST(RepairEngine, CheckBudgetIsHonoured) {
 
 TEST(RepairEngine, ReportsAreDeterministic) {
   const RepairEngine engine;
-  const std::string one = to_json(engine.repair(spp::bad_gadget(), 42));
-  const std::string two = to_json(engine.repair(spp::bad_gadget(), 42));
+  const std::string one = to_json(engine.repair(spp::bad_gadget()));
+  const std::string two = to_json(engine.repair(spp::bad_gadget()));
   EXPECT_EQ(one, two);
 }
 
@@ -196,8 +195,8 @@ TEST(RepairEngine, IncrementalAndFromScratchAgree) {
       spp::bad_gadget(), spp::disagree_gadget(), spp::ibgp_figure3_gadget(),
       spp::bad_gadget_chain(3)};
   for (const spp::SppInstance& instance : instances) {
-    const RepairReport fast = RepairEngine(incremental).repair(instance, 5);
-    const RepairReport slow = RepairEngine(scratch).repair(instance, 5);
+    const RepairReport fast = RepairEngine(incremental).repair(instance);
+    const RepairReport slow = RepairEngine(scratch).repair(instance);
     EXPECT_EQ(to_json(fast), to_json(slow)) << instance.name();
     EXPECT_EQ(slow.engine_rebuilds, 0u);  // ablation never builds the engine
   }
@@ -231,9 +230,9 @@ TEST(RepairEngine, GroundTruthBackendsAgreeOnGadgetRepairs) {
       spp::bad_gadget(), spp::disagree_gadget(), spp::ibgp_figure3_gadget(),
       spp::bad_gadget_chain(2)};
   for (const spp::SppInstance& instance : instances) {
-    RepairReport via_sat = RepairEngine(sat_options).repair(instance, 5);
+    RepairReport via_sat = RepairEngine(sat_options).repair(instance);
     const RepairReport via_enum =
-        RepairEngine(enum_options).repair(instance, 5);
+        RepairEngine(enum_options).repair(instance);
     EXPECT_EQ(via_sat.ground_truth_mode, groundtruth::Mode::sat_search);
     via_sat.ground_truth_mode = via_enum.ground_truth_mode;
     EXPECT_EQ(to_json(via_sat), to_json(via_enum)) << instance.name();
@@ -247,14 +246,14 @@ TEST(RepairEngine, SatSearchVerifiesWhereEnumerationCannot) {
   RepairOptions enum_options;
   enum_options.ground_truth = groundtruth::Mode::enumerate;
   const RepairReport unverified =
-      RepairEngine(enum_options).repair(spp::bad_gadget_chain(8), 7);
+      RepairEngine(enum_options).repair(spp::bad_gadget_chain(8));
   ASSERT_TRUE(unverified.repaired());
   EXPECT_EQ(unverified.best()->ground_truth, GroundTruth::not_applicable);
 
   RepairOptions sat_options;
   sat_options.ground_truth = groundtruth::Mode::sat_search;
   const RepairReport verified =
-      RepairEngine(sat_options).repair(spp::bad_gadget_chain(8), 7);
+      RepairEngine(sat_options).repair(spp::bad_gadget_chain(8));
   ASSERT_TRUE(verified.repaired());
   EXPECT_EQ(verified.best()->ground_truth, GroundTruth::verified);
   EXPECT_GE(verified.best()->stable_assignments, 1u);
@@ -281,9 +280,9 @@ TEST(RepairEngine, IncrementalAndScratchOraclesAgree) {
       spp::bad_gadget_chain(4)};
   for (const spp::SppInstance& instance : instances) {
     const RepairReport incremental =
-        RepairEngine(session_options).repair(instance, 5);
+        RepairEngine(session_options).repair(instance);
     const RepairReport scratch =
-        RepairEngine(scratch_options).repair(instance, 5);
+        RepairEngine(scratch_options).repair(instance);
     EXPECT_EQ(to_json(incremental), to_json(scratch)) << instance.name();
     // The session really ran (and only on the incremental side).
     EXPECT_GT(incremental.oracle_queries, 0u) << instance.name();
@@ -293,7 +292,7 @@ TEST(RepairEngine, IncrementalAndScratchOraclesAgree) {
 
 TEST(RepairEngine, OracleSessionCachesRankingGroupsAcrossCandidates) {
   const RepairEngine engine;
-  const RepairReport report = engine.repair(spp::bad_gadget_chain(4), 5);
+  const RepairReport report = engine.repair(spp::bad_gadget_chain(4));
   ASSERT_TRUE(report.repaired());
   EXPECT_GT(report.oracle_queries, 1u);
   // Candidates touch the BAD member's three nodes; every untouched node's
@@ -316,6 +315,32 @@ TEST(RepairEngine, EnumerateOracleReportsStateBudgetExhaustion) {
             std::string::npos);
 }
 
+TEST(RepairEngine, BudgetStoppedCandidatesAreNotApplicableNeverFailed) {
+  // The verdict rule: `verified` and `failed` need an oracle that decided
+  // (>= 1 stable assignment, or none). A budget that stops the oracle
+  // leaves the solver verdict standing unverified — not_applicable, the
+  // same verdict relax-edit candidates get, never a failure.
+  RepairOptions options;
+  options.ground_truth = groundtruth::Mode::enumerate;
+  options.ground_truth_max_states = 4;
+  for (const spp::SppInstance& instance :
+       {spp::bad_gadget(), spp::disagree_gadget(), spp::ibgp_figure3_gadget(),
+        spp::bad_gadget_chain(4)}) {
+    const RepairReport report = RepairEngine(options).repair(instance);
+    ASSERT_TRUE(report.repaired()) << instance.name();
+    std::size_t budget_stopped = 0;
+    for (const RepairCandidate& candidate : report.repairs) {
+      SCOPED_TRACE(instance.name() + ": " + candidate.describe());
+      EXPECT_EQ(candidate.ground_truth, GroundTruth::not_applicable);
+      EXPECT_EQ(candidate.stable_assignments, 0u);
+      if (candidate.oracle_budget == groundtruth::BudgetStop::states) {
+        ++budget_stopped;
+      }
+    }
+    EXPECT_GT(budget_stopped, 0u) << instance.name();
+  }
+}
+
 TEST(RepairEngine, StarvedSatOracleStillReportsHonestly) {
   // Gadget-scale repaired candidates are decided by unit propagation, so a
   // one-conflict budget cannot make the sat-search oracle LIE — it either
@@ -324,7 +349,7 @@ TEST(RepairEngine, StarvedSatOracleStillReportsHonestly) {
   RepairOptions options;
   options.ground_truth_max_conflicts = 1;
   const RepairReport report =
-      RepairEngine(options).repair(spp::ibgp_figure3_gadget(), 7);
+      RepairEngine(options).repair(spp::ibgp_figure3_gadget());
   ASSERT_TRUE(report.repaired());
   for (const RepairCandidate& candidate : report.repairs) {
     if (candidate.ground_truth == GroundTruth::not_applicable &&
@@ -337,7 +362,7 @@ TEST(RepairEngine, StarvedSatOracleStillReportsHonestly) {
     }
   }
   // And the full-budget run verifies the same best repair.
-  const RepairReport full = RepairEngine().repair(spp::ibgp_figure3_gadget(), 7);
+  const RepairReport full = RepairEngine().repair(spp::ibgp_figure3_gadget());
   EXPECT_EQ(report.best()->describe(), full.best()->describe());
 }
 
@@ -345,7 +370,7 @@ TEST(RepairEngine, SolutionBoundMarksCountsAsFloors) {
   RepairOptions options;
   options.ground_truth_max_solutions = 1;
   const RepairReport report =
-      RepairEngine(options).repair(spp::disagree_gadget(), 7);
+      RepairEngine(options).repair(spp::disagree_gadget());
   ASSERT_TRUE(report.repaired());
   // Some repaired DISAGREE variants keep two stable states; capping the
   // enumeration at one makes the verdict exact but the count a floor.
@@ -389,13 +414,13 @@ TEST(RepairEngine, BeamPruningIsCountedNeverSilent) {
 
   RepairOptions wide;
   wide.beam_width = 0;  // exhaustive BFS: nothing is ever pruned
-  const RepairReport unpruned = RepairEngine(wide).repair(twin, 5);
+  const RepairReport unpruned = RepairEngine(wide).repair(twin);
   EXPECT_EQ(unpruned.beam_pruned, 0u);
   ASSERT_TRUE(unpruned.repaired());
 
   RepairOptions narrow;
   narrow.beam_width = 2;
-  const RepairReport pruned = RepairEngine(narrow).repair(twin, 5);
+  const RepairReport pruned = RepairEngine(narrow).repair(twin);
   EXPECT_GT(pruned.beam_pruned, 0u);
   EXPECT_NE(to_json(pruned).find("\"beam_pruned\": "), std::string::npos);
   // Core-frequency ranking keeps both disputes' edits in play: the
@@ -425,7 +450,7 @@ TEST(RepairEngine, ThreeDisputesNeedThreeEditsThroughTheBeam) {
   RepairOptions options;
   options.max_edits = 3;
   options.max_checks = 4096;
-  const RepairReport report = RepairEngine(options).repair(triple, 5);
+  const RepairReport report = RepairEngine(options).repair(triple);
   ASSERT_TRUE(report.repaired());
   EXPECT_EQ(report.best()->edits.size(), 3u);
   EXPECT_EQ(report.best()->ground_truth, GroundTruth::verified);

@@ -41,13 +41,13 @@ std::vector<Request> mixed_batch() {
   std::vector<Request> requests;
   for (const char* name : {"bad", "disagree", "good", "bad-chain-4"}) {
     requests.push_back(GroundTruthRequest{shared_gadget(name), {}});
-    requests.push_back(RepairRequest{shared_gadget(name), 7});
+    requests.push_back(RepairRequest{shared_gadget(name)});
     requests.push_back(AnalyzeSafetyRequest{nullptr, shared_gadget(name)});
   }
   // Duplicates of earlier content (fresh shared_ptrs on purpose: identity
   // comes from the fingerprint, not the pointer).
   requests.push_back(GroundTruthRequest{shared_gadget("bad"), {}});
-  requests.push_back(RepairRequest{shared_gadget("bad-chain-4"), 7});
+  requests.push_back(RepairRequest{shared_gadget("bad-chain-4")});
   requests.push_back(
       GroundTruthRequest{shared_gadget("good"), groundtruth::Mode::enumerate});
   EmulateRequest emulate;
@@ -101,10 +101,20 @@ TEST(Request, ValidationRejectsMalformedShapes) {
 
 TEST(Request, FingerprintIsKindFreeAndSeedFreeContentIdentity) {
   const Request truth = GroundTruthRequest{shared_gadget("bad"), {}};
-  const Request repair_a = RepairRequest{shared_gadget("bad"), 1};
-  const Request repair_b = RepairRequest{shared_gadget("bad"), 99};
-  const Request other = RepairRequest{shared_gadget("disagree"), 1};
+  const Request repair_a = RepairRequest{shared_gadget("bad")};
+  const Request repair_b = RepairRequest{shared_gadget("bad")};
+  const Request other = RepairRequest{shared_gadget("disagree")};
+  SimulateRequest simulate_a;
+  simulate_a.spp = shared_gadget("bad");
+  simulate_a.seed = 1;
+  SimulateRequest simulate_b = simulate_a;
+  simulate_b.seed = 99;
+  // Kind-free: every kind over one instance shares one fingerprint.
   EXPECT_EQ(fingerprint(truth), fingerprint(repair_a));
+  EXPECT_EQ(fingerprint(repair_a), fingerprint(Request(simulate_a)));
+  // Seed-free: the seed is request identity, not content identity.
+  EXPECT_EQ(fingerprint(Request(simulate_a)), fingerprint(Request(simulate_b)));
+  // Content identity: distinct payload objects, same content.
   EXPECT_EQ(fingerprint(repair_a), fingerprint(repair_b));
   EXPECT_NE(fingerprint(repair_a), fingerprint(other));
 }
@@ -183,6 +193,30 @@ TEST(Wire, ParsesEveryPayloadShape) {
       std::get<SimulateRequest>(wire::parse_request(
           R"({"kind": "simulate", "gadget": "bad", "seed": 3})"));
   EXPECT_EQ(defaulted.suppression, "none");
+}
+
+TEST(Wire, RepairSeedIsAcceptedAndIgnored) {
+  // Repair draws no randomness, so a "seed" on a repair line decodes (old
+  // clients keep working) and changes nothing: every spelling is the same
+  // request and answers with the same bytes (a fresh service per line, so
+  // the response ids match too).
+  std::vector<std::string> rendered;
+  for (const char* line :
+       {R"({"kind": "repair", "gadget": "bad", "seed": 1})",
+        R"({"kind": "repair", "gadget": "bad", "seed": 99})",
+        R"({"kind": "repair", "gadget": "bad"})"}) {
+    SCOPED_TRACE(line);
+    const Request request = wire::parse_request(line);
+    ASSERT_EQ(kind_of(request), RequestKind::repair);
+    EXPECT_EQ(fingerprint(request),
+              fingerprint(Request(RepairRequest{shared_gadget("bad")})));
+    const Response response = AnalysisService().call(request);
+    ASSERT_TRUE(response.error.empty()) << response.error;
+    rendered.push_back(wire::render_response(response));
+  }
+  EXPECT_EQ(rendered[0], rendered[1]);
+  EXPECT_EQ(rendered[0], rendered[2]);
+  EXPECT_EQ(rendered[0].find("spvp"), std::string::npos) << rendered[0];
 }
 
 TEST(Wire, InlineSppMatchesTheLibraryGadgetFingerprint) {
@@ -343,7 +377,7 @@ TEST(Service, AnswersEveryKindAndErrorsStayInBand) {
   ASSERT_TRUE(safety.safety.has_value());
   EXPECT_EQ(safety.safety->verdict, SafetyVerdict::safe);
 
-  const Response repair = service.call(RepairRequest{shared_gadget("bad"), 7});
+  const Response repair = service.call(RepairRequest{shared_gadget("bad")});
   ASSERT_TRUE(repair.repair.has_value());
   EXPECT_TRUE(repair.repair->repaired());
 
@@ -444,8 +478,8 @@ TEST(Service, BudgetStoppedGroundTruthAnswersFallBackToColdBytes) {
 
 TEST(Service, SecondIdenticalFingerprintRequestReportsAWarmHit) {
   AnalysisService service;  // threads = 1: scheduling is deterministic
-  const Response cold = service.call(RepairRequest{shared_gadget("bad"), 7});
-  const Response warm = service.call(RepairRequest{shared_gadget("bad"), 7});
+  const Response cold = service.call(RepairRequest{shared_gadget("bad")});
+  const Response warm = service.call(RepairRequest{shared_gadget("bad")});
   EXPECT_FALSE(cold.warm_session);
   EXPECT_TRUE(warm.warm_session);
   // Warmth is provenance only: deterministic bytes must not move.
@@ -499,7 +533,7 @@ TEST(Service, BorrowedSessionsMatchSelfBuiltReportBytes) {
   for (const char* name : {"good", "bad", "disagree", "ibgp-figure3",
                            "bad-chain-4", "bad-chain-8"}) {
     const spp::SppInstance instance = spp::gadget_by_name(name);
-    const std::string self_built = repair::to_json(engine.repair(instance, 7));
+    const std::string self_built = repair::to_json(engine.repair(instance));
 
     IncrementalSafetySession::Options gate_options;
     gate_options.extract_models = false;
@@ -510,10 +544,10 @@ TEST(Service, BorrowedSessionsMatchSelfBuiltReportBytes) {
     repair::RepairSessions sessions;
     sessions.strict_gate = &gate;
     sessions.oracle = &oracle;
-    EXPECT_EQ(repair::to_json(engine.repair(instance, 7, sessions)),
+    EXPECT_EQ(repair::to_json(engine.repair(instance, sessions)),
               self_built)
         << name << " (cold borrowed sessions)";
-    EXPECT_EQ(repair::to_json(engine.repair(instance, 7, sessions)),
+    EXPECT_EQ(repair::to_json(engine.repair(instance, sessions)),
               self_built)
         << name << " (warm borrowed sessions)";
   }
@@ -689,7 +723,7 @@ TEST(Service, SlowRequestWatchdogCountsWithoutTouchingBytes) {
 TEST(Service, StatsRequestAnswersTheGoldenSchema) {
   AnalysisService service;
   service.call(GroundTruthRequest{shared_gadget("bad"), {}});
-  service.call(RepairRequest{shared_gadget("bad"), 7});
+  service.call(RepairRequest{shared_gadget("bad")});
   const Response response = service.call(StatsRequest{});
   EXPECT_TRUE(response.error.empty());
   ASSERT_TRUE(response.stats.has_value());
@@ -846,7 +880,7 @@ TEST(Service, RepairEffortDeltasAreExactInBorrowedAndSelfBuiltPaths) {
   const repair::RepairEngine engine;
   for (const char* name : {"good", "bad", "disagree", "bad-chain-4"}) {
     const spp::SppInstance instance = spp::gadget_by_name(name);
-    const repair::RepairReport self_built = engine.repair(instance, 7);
+    const repair::RepairReport self_built = engine.repair(instance);
 
     IncrementalSafetySession::Options gate_options;
     gate_options.extract_models = false;
@@ -857,8 +891,8 @@ TEST(Service, RepairEffortDeltasAreExactInBorrowedAndSelfBuiltPaths) {
     repair::RepairSessions sessions;
     sessions.strict_gate = &gate;
     sessions.oracle = &oracle;
-    const repair::RepairReport cold = engine.repair(instance, 7, sessions);
-    const repair::RepairReport warm = engine.repair(instance, 7, sessions);
+    const repair::RepairReport cold = engine.repair(instance, sessions);
+    const repair::RepairReport warm = engine.repair(instance, sessions);
 
     for (const repair::RepairReport* borrowed : {&cold, &warm}) {
       EXPECT_EQ(borrowed->solver_checks, self_built.solver_checks) << name;

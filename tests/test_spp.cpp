@@ -9,7 +9,6 @@
 #include "spp/spp.h"
 #include "spp/translate.h"
 #include "util/error.h"
-#include "util/rng.h"
 
 namespace fsr::spp {
 namespace {
@@ -148,53 +147,6 @@ TEST(StableStates, BudgetedScanNamesTheExhaustedBudget) {
   EXPECT_STREQ(to_string(EnumerationStop::state_budget), "state-budget");
   EXPECT_STREQ(to_string(EnumerationStop::solution_budget),
                "solution-budget");
-}
-
-// ----------------------------------------------------------- SPVP sim --
-
-TEST(Spvp, GoodGadgetConvergesToTheUniqueSolution) {
-  util::Rng rng(1);
-  const SpvpResult r = simulate_spvp(good_gadget(), rng);
-  ASSERT_TRUE(r.converged);
-  EXPECT_EQ(r.final_assignment.at("1"), (Path{"1", "3", "0"}));
-}
-
-TEST(Spvp, BadGadgetNeverConverges) {
-  util::Rng rng(2);
-  const SpvpResult r = simulate_spvp(bad_gadget(), rng, 20000);
-  EXPECT_FALSE(r.converged);
-  EXPECT_EQ(r.activations, 20000u);
-  EXPECT_GT(r.route_changes, 100u);  // sustained oscillation, not silence
-}
-
-TEST(Spvp, DisagreeConvergesToOneOfTwoStates) {
-  const auto stable = enumerate_stable_assignments(disagree_gadget());
-  ASSERT_EQ(stable.size(), 2u);
-  int seen_first = 0;
-  for (int seed = 0; seed < 20; ++seed) {
-    util::Rng rng(static_cast<std::uint64_t>(seed));
-    const SpvpResult r = simulate_spvp(disagree_gadget(), rng);
-    ASSERT_TRUE(r.converged);
-    const bool is_first = r.final_assignment == stable[0];
-    const bool is_second = r.final_assignment == stable[1];
-    EXPECT_TRUE(is_first || is_second);
-    if (is_first) ++seen_first;
-  }
-  // Both outcomes are reachable across seeds (non-determinism is real).
-  EXPECT_GT(seen_first, 0);
-  EXPECT_LT(seen_first, 20);
-}
-
-TEST(Spvp, Figure3GadgetOscillates) {
-  util::Rng rng(3);
-  const SpvpResult r = simulate_spvp(ibgp_figure3_gadget(), rng, 20000);
-  EXPECT_FALSE(r.converged);
-}
-
-TEST(Spvp, Figure3FixedConverges) {
-  util::Rng rng(4);
-  const SpvpResult r = simulate_spvp(ibgp_figure3_fixed(), rng);
-  EXPECT_TRUE(r.converged);
 }
 
 // --------------------------------------------------------- translation --
