@@ -19,7 +19,9 @@
 //
 // --json writes the speedup/rps metrics; --check enforces
 // service_warm_speedup_min from bench/thresholds.json — the CI gate for
-// the warm-session contract.
+// the warm-session contract — and service_symbolic_sparsity_ratio_min,
+// which catches a dense FiniteAlgebra::symbolic() walk (the spec every
+// SPP request's fingerprint starts from).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -29,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "algebra/standard_policies.h"
 #include "api/service.h"
 #include "api/wire.h"
 #include "bench_util.h"
@@ -37,6 +40,8 @@
 #include "obs/recorder.h"
 #include "obs/trace.h"
 #include "spp/gadgets.h"
+#include "spp/translate.h"
+#include "topology/rocketfuel.h"
 
 namespace {
 
@@ -94,6 +99,34 @@ double time_passes_ms(fsr::api::AnalysisService& service,
   const auto stop = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(stop - start).count() /
          passes;
+}
+
+/// Best-of-k_reps symbolic() cost of `algebra` per emitted extension, in
+/// ns; each rep times `calls` back-to-back calls.
+struct SymbolicCost {
+  std::size_t extensions = 0;
+  double ns_per_extension = 0.0;
+};
+
+SymbolicCost symbolic_cost(const fsr::algebra::AlgebraPtr& algebra,
+                           int calls) {
+  constexpr int k_reps = 7;
+  SymbolicCost cost;
+  double best_ns = 0.0;
+  for (int rep = 0; rep < k_reps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int call = 0; call < calls; ++call) {
+      cost.extensions = algebra->symbolic().extensions.size();
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    const double ns =
+        std::chrono::duration<double, std::nano>(stop - start).count();
+    if (rep == 0 || ns < best_ns) best_ns = ns;
+  }
+  cost.ns_per_extension =
+      best_ns / (static_cast<double>(calls) *
+                 static_cast<double>(cost.extensions));
+  return cost;
 }
 
 std::string fmt(double value, const char* suffix = "") {
@@ -366,6 +399,38 @@ int main(int argc, char** argv) {
     metrics["service_affinity_requests_per_sec"] = affinity.requests_per_sec;
     metrics["service_round_robin_requests_per_sec"] =
         round_robin.requests_per_sec;
+  }
+
+  {
+    // symbolic() must walk only the declared generation entries. Guideline
+    // A declares 5 of its 3 x 3 (label, signature) entries; the Rocketfuel
+    // iBGP algebra (ppe4 extraction) declares 282 of 416 x 314. A sparse
+    // walk costs about the same per emitted extension on both; a dense
+    // labels x signatures walk costs ~460x more per extension on the
+    // Rocketfuel table, and the ratio below collapses with it (gated:
+    // service_symbolic_sparsity_ratio_min).
+    bench::print_banner("symbolic spec: ns per emitted extension");
+    bench::print_row({"algebra", "extensions", "ns/extension"}, 16);
+    fsr::topology::RocketfuelParams params;
+    params.paths_per_egress = 4;
+    const SymbolicCost guideline =
+        symbolic_cost(fsr::algebra::gao_rexford_guideline_a(), 1000);
+    const SymbolicCost rocketfuel = symbolic_cost(
+        fsr::spp::algebra_from_spp(
+            fsr::topology::build_rocketfuel_ibgp(params).instance),
+        1);
+    for (const auto& [name, cost] :
+         {std::pair{"guideline-A", guideline},
+          std::pair{"rocketfuel-ppe4", rocketfuel}}) {
+      bench::print_row({name, std::to_string(cost.extensions),
+                        fmt(cost.ns_per_extension)},
+                       16);
+    }
+    metrics["service_symbolic_sparsity_ratio"] =
+        guideline.ns_per_extension / rocketfuel.ns_per_extension;
+    bench::print_row({"guideline-A / rocketfuel-ppe4",
+                      fmt(metrics["service_symbolic_sparsity_ratio"])},
+                     32);
   }
 
   if (!json_path.empty() && !bench::write_metrics_file(json_path, metrics)) {

@@ -18,7 +18,11 @@
 // oscillation workload — IS gated (sim_hash_speedup_min in
 // bench/thresholds.json). A speedup ratio of two same-machine runs cancels
 // runner noise, and the incremental detector regressing to canonical cost
-// is exactly the regression this PR exists to prevent.
+// is exactly the regression the gate exists to prevent. So is
+// sim_collision_cost_ratio (sim_collision_cost_ratio_min): the same
+// incremental sweep's wall clock over its wall clock with every state hash
+// forced equal, which collapses if locating the first repeat goes back to
+// replaying the run once per hash-equal candidate.
 //
 //   bench_sim [--json FILE] [--check THRESHOLDS]
 #include <chrono>
@@ -48,7 +52,8 @@ struct SweepStats {
 
 SweepStats sweep(const fsr::spp::SppInstance& instance,
                  const std::string& scenario,
-                 const std::string& detector = "incremental") {
+                 const std::string& detector = "incremental",
+                 std::uint64_t detector_hash_mask = ~0ULL) {
   SweepStats stats;
   const auto start = std::chrono::steady_clock::now();
   for (std::uint64_t s = 0; s < k_seeds_per_instance; ++s) {
@@ -56,6 +61,7 @@ SweepStats sweep(const fsr::spp::SppInstance& instance,
     options.seed = k_seed_base + s;
     options.scenario = scenario;
     options.detector = detector;
+    options.detector_hash_mask = detector_hash_mask;
     const fsr::sim::SimResult run = fsr::sim::simulate(instance, options);
     stats.messages += run.messages;
     stats.steps += run.steps;
@@ -166,6 +172,22 @@ int main(int argc, char** argv) {
     metrics["sim_hash_speedup"] = speedup;
     total_messages += static_cast<double>(incremental.messages);
     total_ms += incremental.wall_ms;
+
+    // Collision cost: the same incremental sweep with every state hash
+    // forced equal (the detector_hash_mask test seam), so every post-churn
+    // step is a hash match the mu search must verify and reject. A
+    // lockstep search pays one step and one canonical render per rejected
+    // candidate; a search that replays from the start per candidate is
+    // quadratic, and the honest/masked ratio collapses with it (gated:
+    // sim_collision_cost_ratio_min).
+    const SweepStats masked = sweep(big_bad, "steady", "incremental", 0);
+    const double ratio = incremental.wall_ms / masked.wall_ms;
+    bench::print_row({"incr. masked",
+                      std::to_string(masked.oscillating) + "/" +
+                          std::to_string(masked.runs),
+                      fmt(masked.wall_ms), fmt(ratio, "x")},
+                     15);
+    metrics["sim_collision_cost_ratio"] = ratio;
   }
 
   metrics["sim_messages_per_sec"] = 1000.0 * total_messages / total_ms;

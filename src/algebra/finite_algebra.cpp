@@ -79,17 +79,17 @@ SymbolicSpec FiniteAlgebra::symbolic() const {
   spec.signatures.assign(signatures_.begin(), signatures_.end());
   spec.preferences = preferences_;
   // Combined (+) entries: phi rows are skipped (s strictly-precedes phi by
-  // definition, so they impose no constraint; Section IV-C).
-  for (const std::string& label : labels_) {
-    for (const std::string& sig : signatures_) {
-      const Value l = Value::atom(label);
-      const Value s = Value::atom(sig);
-      const std::optional<Value> extended = combined_extend(l, s);
-      if (!extended.has_value()) continue;
-      spec.extensions.push_back(SymbolicSpec::Extension{
-          label, sig, extended->as_atom(),
-          label + " (+) " + sig + " = " + extended->as_atom()});
-    }
+  // definition, so they impose no constraint; Section IV-C). Only declared
+  // generation entries can be non-phi, and the map's (label, sig) order is
+  // the labels-then-signatures order of the two sets.
+  for (const auto& [key, result] : generation_) {
+    const auto imp = import_.find(key);
+    if (imp != import_.end() && !imp->second) continue;
+    const auto exp = export_.find(key);
+    if (exp != export_.end() && !exp->second) continue;
+    const auto& [label, sig] = key;
+    spec.extensions.push_back(SymbolicSpec::Extension{
+        label, sig, result, label + " (+) " + sig + " = " + result});
   }
   return spec;
 }

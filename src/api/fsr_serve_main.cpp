@@ -26,7 +26,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <future>
@@ -142,12 +141,8 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(arg, "--timings") == 0) {
       render_options.timings = true;
     } else if (std::strcmp(arg, "--slow-ms") == 0) {
-      const double slow_ms = std::atof(need_value(i, "--slow-ms"));
-      if (slow_ms < 0) {
-        std::fprintf(stderr, "fsr_serve: --slow-ms needs a value >= 0\n");
-        return 2;
-      }
-      options.slow_request_ms = slow_ms;
+      options.slow_request_ms = fsr::obs::nonnegative_flag_value(
+          argc, argv, i, "fsr_serve", "--slow-ms");
     } else if (std::strcmp(arg, "--help") == 0) {
       print_usage();
       return 0;

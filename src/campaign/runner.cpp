@@ -1,16 +1,15 @@
 #include "campaign/runner.h"
 
-#include <algorithm>
-#include <chrono>
-#include <future>
+#include <condition_variable>
+#include <exception>
 #include <limits>
+#include <mutex>
 #include <unordered_map>
 #include <utility>
 
 #include "api/service.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "spp/translate.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -66,6 +65,281 @@ api::Request primary_request(const Scenario& scenario,
   return request;
 }
 
+/// Expands `sources` in order, handing each source's batch to `sink` as
+/// soon as it exists. The running ordinal feeds seed derivation, so every
+/// entry point sees the same scenarios.
+template <typename Sink>
+void expand(const std::vector<std::unique_ptr<ScenarioSource>>& sources,
+            std::uint64_t campaign_seed, Sink&& sink) {
+  std::uint64_t generated = 0;
+  for (const auto& source : sources) {
+    std::vector<Scenario> batch = source->generate(campaign_seed, generated);
+    generated += batch.size();
+    sink(std::move(batch));
+  }
+}
+
+/// One campaign run. Scenarios arrive in index order, a batch at a time;
+/// add() keys, deduplicates and consults the cache for each one on the
+/// calling thread — the bookkeeping that decides the report's
+/// deterministic fields — and submits each unique scenario as soon as it
+/// is keyed, so the workers solve while later sources are still being
+/// generated. Primaries and repair follow-ups complete through service
+/// callbacks that slot each outcome by index; finish() waits for the last
+/// one, then assembles the report and fills the cache in index order.
+/// Completion order therefore never touches the bytes.
+class Schedule {
+ public:
+  Schedule(const CampaignOptions& options, ResultCache& cache)
+      : options_(options), cache_(cache), service_(service_options(options)) {
+    report_.campaign_seed = options_.seed;
+    report_.threads = options_.threads;
+  }
+
+  Schedule(const Schedule&) = delete;
+  Schedule& operator=(const Schedule&) = delete;
+
+  /// An early exit (a malformed scenario, a throwing source) still lets
+  /// every submitted request and its follow-up finish before the service
+  /// and the state its callbacks write go away.
+  ~Schedule() { wait_idle(); }
+
+  void add(std::vector<Scenario> batch) {
+    for (const Scenario& scenario : batch) {
+      const std::size_t i = report_.results.size();
+      ScenarioResult& result = report_.results.emplace_back();
+      result.id = scenario.id;
+      result.source = scenario.source;
+      result.kind = scenario.kind;
+      result.seed = scenario.seed;
+      validate_scenario(scenario);
+      std::string& key = keys_.emplace_back(scenario_cache_key(
+          scenario, options_.attempt_repair, options_.repair, options_.sim));
+      result.content_id = util::content_digest(key);
+      representative_.push_back(k_no_representative);
+
+      const auto [it, inserted] = first_with_key_.emplace(key, i);
+      if (!inserted) {
+        result.deduplicated = true;
+        representative_[i] = it->second;
+        ++report_.deduplicated_count;
+        continue;
+      }
+      if (options_.use_cache) {
+        if (auto cached = cache_.find(key)) {
+          result.cache_hit = true;
+          result.outcome = std::move(cached);
+          ++report_.cache_hit_count;
+          continue;
+        }
+      }
+      work_.push_back(i);
+      submit_primary(i, scenario);
+    }
+  }
+
+  CampaignReport finish() {
+    wait_idle();
+    if (error_ != nullptr) std::rethrow_exception(error_);
+    // Sequential assembly: reattach duplicates, fill the cache.
+    report_.solved_count = work_.size();
+    for (const std::size_t index : work_) {
+      report_.results[index].outcome = outcomes_[index];
+      report_.total_wall_ms += outcomes_[index]->wall_ms;
+      if (options_.use_cache && outcomes_[index]->error.empty()) {
+        cache_.insert(keys_[index], outcomes_[index]);
+      }
+    }
+    for (std::size_t i = 0; i < report_.results.size(); ++i) {
+      if (representative_[i] != k_no_representative) {
+        report_.results[i].outcome =
+            report_.results[representative_[i]].outcome;
+      }
+    }
+
+    const SolverEffort now = effort_now();
+    SolverEffort& effort = report_.effort;
+    effort.sat_queries = now.sat_queries - floor_.sat_queries;
+    effort.sat_conflicts = now.sat_conflicts - floor_.sat_conflicts;
+    effort.sat_decisions = now.sat_decisions - floor_.sat_decisions;
+    effort.sat_propagations = now.sat_propagations - floor_.sat_propagations;
+    effort.smt_checks = now.smt_checks - floor_.smt_checks;
+    effort.repair_solver_checks =
+        now.repair_solver_checks - floor_.repair_solver_checks;
+
+    static obs::Counter& scenario_counter =
+        obs::registry().counter("campaign.scenarios");
+    static obs::Counter& solved_counter =
+        obs::registry().counter("campaign.solved");
+    static obs::Counter& dedup_counter =
+        obs::registry().counter("campaign.deduplicated");
+    static obs::Counter& cache_hit_counter =
+        obs::registry().counter("campaign.cache_hits");
+    scenario_counter.add(report_.results.size());
+    solved_counter.add(report_.solved_count);
+    dedup_counter.add(report_.deduplicated_count);
+    cache_hit_counter.add(report_.cache_hit_count);
+
+    span_.arg("scenarios", report_.results.size());
+    span_.arg("solved", report_.solved_count);
+    span_.arg("cache_hits", report_.cache_hit_count);
+    span_.arg("deduplicated", report_.deduplicated_count);
+    span_.arg("smt_checks", report_.effort.smt_checks);
+    span_.arg("sat_conflicts", report_.effort.sat_conflicts);
+    return std::move(report_);
+  }
+
+ private:
+  static constexpr std::size_t k_no_representative =
+      std::numeric_limits<std::size_t>::max();
+
+  static SolverEffort effort_now() {
+    static obs::Counter& sat_queries = obs::registry().counter("sat.queries");
+    static obs::Counter& sat_conflicts =
+        obs::registry().counter("sat.conflicts");
+    static obs::Counter& sat_decisions =
+        obs::registry().counter("sat.decisions");
+    static obs::Counter& sat_propagations =
+        obs::registry().counter("sat.propagations");
+    static obs::Counter& smt_checks = obs::registry().counter("smt.checks");
+    static obs::Counter& repair_checks =
+        obs::registry().counter("repair.solver_checks");
+    SolverEffort effort;
+    effort.sat_queries = sat_queries.value();
+    effort.sat_conflicts = sat_conflicts.value();
+    effort.sat_decisions = sat_decisions.value();
+    effort.sat_propagations = sat_propagations.value();
+    effort.smt_checks = smt_checks.value();
+    effort.repair_solver_checks = repair_checks.value();
+    return effort;
+  }
+
+  /// Submits the scenario's primary request. Its callback runs on a
+  /// service worker: every not-provably-safe SPP safety scenario of a
+  /// repair campaign gets a follow-up repair request from there, so a slow
+  /// scenario never holds back another's repair. Repair outcomes (like
+  /// safety verdicts) are a pure function of content, so the cache/dedup
+  /// machinery keeps collapsing duplicates.
+  void submit_primary(std::size_t index, const Scenario& scenario) {
+    std::shared_ptr<const spp::SppInstance> repairable;
+    if (options_.attempt_repair && scenario.kind == ScenarioKind::safety) {
+      repairable = scenario.spp;
+    }
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      ++pending_;
+      outcomes_.resize(index + 1);
+    }
+    try {
+      service_.submit(
+          primary_request(scenario, options_),
+          [this, index, repairable](api::Response response) {
+            guarded([&] { on_primary(index, repairable, response); });
+          });
+    } catch (...) {
+      settle(index, nullptr, std::current_exception());
+      throw;
+    }
+  }
+
+  void on_primary(std::size_t index,
+                  const std::shared_ptr<const spp::SppInstance>& repairable,
+                  const api::Response& response) {
+    auto outcome = std::make_shared<ScenarioOutcome>();
+    outcome->error = response.error;
+    outcome->wall_ms = response.wall_ms;
+    if (response.safety.has_value()) outcome->safety = response.safety;
+    if (response.emulation.has_value()) outcome->emulation = response.emulation;
+    if (response.sim.has_value()) outcome->sim = response.sim;
+    if (repairable == nullptr || !response.error.empty() ||
+        !outcome->safety.has_value() ||
+        outcome->safety->verdict != SafetyVerdict::not_provably_safe) {
+      settle(index, std::move(outcome));
+      return;
+    }
+    api::RepairRequest request;
+    request.spp = repairable;
+    service_.submit(std::move(request),
+                    [this, index, outcome](api::Response repaired) {
+                      guarded([&] {
+                        attach_repair(*outcome, repaired);
+                        settle(index, outcome);
+                      });
+                    });
+  }
+
+  /// Runs a completion callback's body on a service worker. An exception
+  /// must not escape into the worker's loop: it settles the scenario and
+  /// finish() rethrows it on the calling thread.
+  template <typename Body>
+  void guarded(Body&& body) noexcept {
+    try {
+      body();
+    } catch (...) {
+      settle(0, nullptr, std::current_exception());
+    }
+  }
+
+  /// A repair failure must not discard the safety verdict already in
+  /// hand; it is recorded on the summary instead.
+  static void attach_repair(ScenarioOutcome& outcome,
+                            const api::Response& response) {
+    repair::RepairSummary summary;
+    if (response.repair.has_value()) {
+      summary = repair::summarize(*response.repair);
+    } else {
+      summary.attempted = true;
+      summary.error = response.error;
+    }
+    outcome.repair = std::move(summary);
+    outcome.wall_ms += response.wall_ms;
+  }
+
+  /// Marks one submitted scenario done: with its outcome, or with the
+  /// first error that stopped it.
+  void settle(std::size_t index, std::shared_ptr<const ScenarioOutcome> outcome,
+              std::exception_ptr error = nullptr) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (error != nullptr) {
+      if (error_ == nullptr) error_ = error;
+    } else {
+      outcomes_[index] = std::move(outcome);
+    }
+    --pending_;
+    idle_.notify_all();
+  }
+
+  void wait_idle() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    idle_.wait(lock, [this]() { return pending_ == 0; });
+  }
+
+  obs::Span span_{"campaign.run"};
+  const CampaignOptions& options_;
+  ResultCache& cache_;
+  // Solver-effort provenance: registry deltas around the whole run, read
+  // before the first submit. The registry is process-global, so a campaign
+  // sharing its process with other concurrent work would fold that work
+  // in — the CLIs run one campaign per process, which is the supported
+  // reading.
+  SolverEffort floor_ = effort_now();
+  CampaignReport report_;
+  // Scheduling-thread state, indexed by scenario.
+  std::vector<std::string> keys_;
+  std::vector<std::size_t> representative_;
+  std::unordered_map<std::string, std::size_t> first_with_key_;
+  std::vector<std::size_t> work_;
+  // Completion state, shared with the service callbacks under mutex_.
+  std::mutex mutex_;
+  std::condition_variable idle_;
+  std::size_t pending_ = 0;
+  std::vector<std::shared_ptr<const ScenarioOutcome>> outcomes_;
+  std::exception_ptr error_;
+  // Last member: destroyed first, joining the workers while the state
+  // their callbacks write is still alive.
+  api::AnalysisService service_;
+};
+
 }  // namespace
 
 CampaignRunner::CampaignRunner(CampaignOptions options)
@@ -83,225 +357,25 @@ CampaignRunner::CampaignRunner(CampaignOptions options)
 std::vector<Scenario> CampaignRunner::generate(
     const std::vector<std::unique_ptr<ScenarioSource>>& sources) const {
   std::vector<Scenario> scenarios;
-  for (const auto& source : sources) {
-    std::vector<Scenario> batch =
-        source->generate(options_.seed, scenarios.size());
-    for (Scenario& scenario : batch) {
-      scenarios.push_back(std::move(scenario));
-    }
-  }
+  expand(sources, options_.seed, [&scenarios](std::vector<Scenario> batch) {
+    for (Scenario& scenario : batch) scenarios.push_back(std::move(scenario));
+  });
   return scenarios;
 }
 
 CampaignReport CampaignRunner::run(
     const std::vector<std::unique_ptr<ScenarioSource>>& sources) {
-  return run_scenarios(generate(sources));
+  Schedule schedule(options_, cache_);
+  expand(sources, options_.seed, [&schedule](std::vector<Scenario> batch) {
+    schedule.add(std::move(batch));
+  });
+  return schedule.finish();
 }
 
 CampaignReport CampaignRunner::run_scenarios(std::vector<Scenario> scenarios) {
-  obs::Span span("campaign.run");
-  span.arg("scenarios", scenarios.size());
-  // Solver-effort provenance: registry deltas around the whole run. The
-  // registry is process-global, so a campaign sharing its process with
-  // other concurrent work would fold that work in — the CLIs run one
-  // campaign per process, which is the supported reading.
-  struct EffortFloor {
-    obs::Counter& sat_queries = obs::registry().counter("sat.queries");
-    obs::Counter& sat_conflicts = obs::registry().counter("sat.conflicts");
-    obs::Counter& sat_decisions = obs::registry().counter("sat.decisions");
-    obs::Counter& sat_propagations =
-        obs::registry().counter("sat.propagations");
-    obs::Counter& smt_checks = obs::registry().counter("smt.checks");
-    obs::Counter& repair_checks =
-        obs::registry().counter("repair.solver_checks");
-  };
-  static EffortFloor counters;
-  SolverEffort floor;
-  floor.sat_queries = counters.sat_queries.value();
-  floor.sat_conflicts = counters.sat_conflicts.value();
-  floor.sat_decisions = counters.sat_decisions.value();
-  floor.sat_propagations = counters.sat_propagations.value();
-  floor.smt_checks = counters.smt_checks.value();
-  floor.repair_solver_checks = counters.repair_checks.value();
-
-  CampaignReport report;
-  report.campaign_seed = options_.seed;
-  report.threads = options_.threads;
-  report.results.resize(scenarios.size());
-
-  // ---- sequential scheduling phase: canonicalize, dedup, consult cache --
-  // All bookkeeping that affects the report's deterministic fields happens
-  // here, before any request is submitted.
-  constexpr std::size_t k_no_representative =
-      std::numeric_limits<std::size_t>::max();
-  std::vector<std::string> keys(scenarios.size());
-  std::vector<std::size_t> representative(scenarios.size(),
-                                          k_no_representative);
-  std::unordered_map<std::string, std::size_t> first_with_key;
-  std::vector<std::size_t> work;
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const Scenario& scenario = scenarios[i];
-    ScenarioResult& result = report.results[i];
-    result.id = scenario.id;
-    result.source = scenario.source;
-    result.kind = scenario.kind;
-    result.seed = scenario.seed;
-    validate_scenario(scenario);
-    keys[i] = scenario_cache_key(scenario, options_.attempt_repair,
-                                 options_.repair, options_.sim);
-    result.content_id = util::content_digest(keys[i]);
-
-    const auto [it, inserted] = first_with_key.emplace(keys[i], i);
-    if (!inserted) {
-      result.deduplicated = true;
-      representative[i] = it->second;
-      ++report.deduplicated_count;
-      continue;
-    }
-    if (options_.use_cache) {
-      if (auto cached = cache_.find(keys[i])) {
-        result.cache_hit = true;
-        result.outcome = std::move(cached);
-        ++report.cache_hit_count;
-        continue;
-      }
-    }
-    work.push_back(i);
-  }
-  report.solved_count = work.size();
-
-  // -------- parallel phase: dispatch unique scenarios through the API --
-  // The service owns the worker pool (and, per worker, the solver-session
-  // invariants the runner used to guarantee inline — see api/service.h).
-  // Two waves keep repair requests content-gated exactly as before: the
-  // primary wave answers safety/emulation, and every not-provably-safe SPP
-  // safety scenario of a repair campaign gets a follow-up repair request.
-  // Repair outcomes (like safety verdicts) are a pure function of content,
-  // so the cache/dedup machinery keeps collapsing duplicates.
-  std::vector<std::shared_ptr<const ScenarioOutcome>> outcomes(
-      scenarios.size());
-  api::AnalysisService service(service_options(options_));
-  std::vector<std::future<api::Response>> primary;
-  primary.reserve(work.size());
-  for (const std::size_t index : work) {
-    primary.push_back(
-        service.submit(primary_request(scenarios[index], options_)));
-  }
-
-  std::vector<std::pair<std::size_t, std::future<api::Response>>> followups;
-  const auto consume_primary = [&](std::size_t slot) {
-    const std::size_t index = work[slot];
-    const Scenario& scenario = scenarios[index];
-    const api::Response response = primary[slot].get();
-    auto outcome = std::make_shared<ScenarioOutcome>();
-    outcome->error = response.error;
-    outcome->wall_ms = response.wall_ms;
-    if (response.safety.has_value()) outcome->safety = response.safety;
-    if (response.emulation.has_value()) {
-      outcome->emulation = response.emulation;
-    }
-    if (response.sim.has_value()) outcome->sim = response.sim;
-    if (options_.attempt_repair && response.error.empty() &&
-        scenario.kind == ScenarioKind::safety && scenario.spp != nullptr &&
-        outcome->safety.has_value() &&
-        outcome->safety->verdict == SafetyVerdict::not_provably_safe) {
-      api::RepairRequest request;
-      request.spp = scenario.spp;
-      followups.emplace_back(index, service.submit(std::move(request)));
-    }
-    outcomes[index] = std::move(outcome);
-  };
-  // Consume primaries as they become READY, not in slot order: a slow
-  // early scenario must not delay later scenarios' repair follow-ups (the
-  // old in-worker repair overlapped freely, and so does this). Outcomes
-  // are slotted by index, so consumption order never touches the report.
-  std::vector<char> consumed(work.size(), 0);
-  std::size_t remaining = work.size();
-  while (remaining > 0) {
-    bool progressed = false;
-    for (std::size_t slot = 0; slot < work.size(); ++slot) {
-      if (consumed[slot] != 0 ||
-          primary[slot].wait_for(std::chrono::seconds(0)) !=
-              std::future_status::ready) {
-        continue;
-      }
-      consume_primary(slot);
-      consumed[slot] = 1;
-      --remaining;
-      progressed = true;
-    }
-    if (!progressed && remaining > 0) {
-      // Nothing ready: block on the first outstanding primary instead of
-      // spinning; any completion restarts the sweep.
-      for (std::size_t slot = 0; slot < work.size(); ++slot) {
-        if (consumed[slot] == 0) {
-          primary[slot].wait();
-          break;
-        }
-      }
-    }
-  }
-  for (auto& [index, future] : followups) {
-    const api::Response response = future.get();
-    // A repair failure must not discard the safety verdict already in
-    // hand; it is recorded on the summary instead.
-    repair::RepairSummary summary;
-    if (response.repair.has_value()) {
-      summary = repair::summarize(*response.repair);
-    } else {
-      summary.attempted = true;
-      summary.error = response.error;
-    }
-    auto patched = std::make_shared<ScenarioOutcome>(*outcomes[index]);
-    patched->repair = std::move(summary);
-    patched->wall_ms += response.wall_ms;
-    outcomes[index] = std::move(patched);
-  }
-
-  // ------------------- sequential assembly: reattach duplicates, cache --
-  for (const std::size_t index : work) {
-    report.results[index].outcome = outcomes[index];
-    report.total_wall_ms += outcomes[index]->wall_ms;
-    if (options_.use_cache && outcomes[index]->error.empty()) {
-      cache_.insert(keys[index], outcomes[index]);
-    }
-  }
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    if (representative[i] != k_no_representative) {
-      report.results[i].outcome = report.results[representative[i]].outcome;
-    }
-  }
-
-  report.effort.sat_queries = counters.sat_queries.value() - floor.sat_queries;
-  report.effort.sat_conflicts =
-      counters.sat_conflicts.value() - floor.sat_conflicts;
-  report.effort.sat_decisions =
-      counters.sat_decisions.value() - floor.sat_decisions;
-  report.effort.sat_propagations =
-      counters.sat_propagations.value() - floor.sat_propagations;
-  report.effort.smt_checks = counters.smt_checks.value() - floor.smt_checks;
-  report.effort.repair_solver_checks =
-      counters.repair_checks.value() - floor.repair_solver_checks;
-
-  static obs::Counter& scenario_counter =
-      obs::registry().counter("campaign.scenarios");
-  static obs::Counter& solved_counter =
-      obs::registry().counter("campaign.solved");
-  static obs::Counter& dedup_counter =
-      obs::registry().counter("campaign.deduplicated");
-  static obs::Counter& cache_hit_counter =
-      obs::registry().counter("campaign.cache_hits");
-  scenario_counter.add(scenarios.size());
-  solved_counter.add(report.solved_count);
-  dedup_counter.add(report.deduplicated_count);
-  cache_hit_counter.add(report.cache_hit_count);
-
-  span.arg("solved", report.solved_count);
-  span.arg("cache_hits", report.cache_hit_count);
-  span.arg("deduplicated", report.deduplicated_count);
-  span.arg("smt_checks", report.effort.smt_checks);
-  span.arg("sat_conflicts", report.effort.sat_conflicts);
-  return report;
+  Schedule schedule(options_, cache_);
+  schedule.add(std::move(scenarios));
+  return schedule.finish();
 }
 
 }  // namespace fsr::campaign

@@ -9,11 +9,17 @@
 // hand-rolled threads now lives behind the API (see the
 // thread-compatibility notes in fsr/safety_analyzer.h and smt/context.h).
 //
+// Scheduling streams: run() generates sources in order and submits each
+// source's unique scenarios as soon as they are keyed, so workers solve
+// while later sources are still being generated, and repair follow-ups
+// leave from the worker that answered the primary.
+//
 // Determinism contract: every scenario's outcome is a pure function of its
-// content and derived seed, results are reassembled in scenario order, and
-// duplicate/cache bookkeeping happens in the sequential scheduling phase —
-// so the report's deterministic fields (everything except wall-clock
-// timings) are byte-identical for any thread count.
+// content and derived seed; keying, duplicate and cache bookkeeping happen
+// on the calling thread in scenario order; and results are reassembled
+// (and cached) in scenario order once the last one is in — so the
+// report's deterministic fields (everything except wall-clock timings)
+// are byte-identical for any thread count and any completion order.
 #ifndef FSR_CAMPAIGN_RUNNER_H
 #define FSR_CAMPAIGN_RUNNER_H
 
@@ -53,8 +59,8 @@ struct CampaignOptions {
   sim::SimOptions sim;
   /// Run the repair engine on every not-provably-safe SPP safety scenario
   /// (fsr_campaign --repair). Repair is a follow-up RepairRequest through
-  /// the same AnalysisService, seeded from the scenario's content digest;
-  /// the service worker that answers it owns the solver sessions.
+  /// the same AnalysisService; the service worker that answers it owns the
+  /// solver sessions.
   bool attempt_repair = false;
   repair::RepairOptions repair;
 };
@@ -64,12 +70,15 @@ class CampaignRunner {
   explicit CampaignRunner(CampaignOptions options = {});
 
   /// Expands sources in order into a scenario list (sequential and
-  /// deterministic; ids are prefixed by source names).
+  /// deterministic; ids are prefixed by source names) — the scenarios
+  /// run() schedules, in the same order.
   std::vector<Scenario> generate(
       const std::vector<std::unique_ptr<ScenarioSource>>& sources) const;
 
+  /// Generates and schedules in one stream (see the header comment).
   CampaignReport run(
       const std::vector<std::unique_ptr<ScenarioSource>>& sources);
+  /// Schedules an already-generated list through the same path.
   CampaignReport run_scenarios(std::vector<Scenario> scenarios);
 
   const CampaignOptions& options() const noexcept { return options_; }

@@ -45,6 +45,18 @@ std::uint64_t u64_flag_value(int argc, char** argv, int& i,
   return *value;
 }
 
+double nonnegative_flag_value(int argc, char** argv, int& i,
+                              const char* program, const char* flag) {
+  const char* text = flag_value(argc, argv, i, program, flag);
+  const std::optional<double> value = util::parse_double(text);
+  if (!value.has_value()) {
+    std::fprintf(stderr, "%s: %s needs a number >= 0, not '%s'\n", program,
+                 flag, text);
+    std::exit(2);
+  }
+  return *value;
+}
+
 bool consume_diagnostics_flag(int argc, char** argv, int& i,
                               const char* program,
                               DiagnosticsCliOptions& options) {

@@ -69,6 +69,10 @@ int int_flag_value(int argc, char** argv, int& i, const char* program,
                    const char* flag, int min);
 std::uint64_t u64_flag_value(int argc, char** argv, int& i,
                              const char* program, const char* flag);
+/// flag_value parsed strictly by util::parse_double: a finite number
+/// >= 0, or a usage message on stderr and exit 2.
+double nonnegative_flag_value(int argc, char** argv, int& i,
+                              const char* program, const char* flag);
 
 /// The usage text for the shared flags, ready to splice into a tool's
 /// --help output (every line indented two spaces, trailing newline).

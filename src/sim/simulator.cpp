@@ -787,14 +787,15 @@ SimResult run_canonical(const SppInstance& instance,
 /// state-hash sequence, O(1) hashing work per step. The canonical string is
 /// rendered only at Brent teleports and on hash matches; a match whose
 /// canonical strings differ is a collision (counted, never believed). The
-/// pass appends each post-churn hash to a log (8 bytes per step — against
-/// the canonical detector's full state string per step) so that once the
-/// minimal period lambda is confirmed, the first repeat can be located by
-/// scanning the log: the earliest index whose hash recurs lambda entries
-/// later is the mu candidate, verified canonically by ONE fresh replica
-/// that then sits exactly where the canonical detector stopped — so the
-/// reported SimResult (steps, ticks, message counts, stop state) is
-/// byte-identical to the canonical detector's.
+/// order-free queue sum cannot see the order of same-tick deliveries, so
+/// states that differ only there hash equal and collide. The pass appends
+/// each post-churn hash to a log (8 bytes per step — against the canonical
+/// detector's full state string per step) so that once the minimal period
+/// lambda is confirmed, the first repeat can be located by scanning the
+/// log: two replicas, lambda states apart, step in lockstep over the mu
+/// candidates, and the leading one stops exactly where the canonical
+/// detector stopped — so the reported SimResult (steps, ticks, message
+/// counts, stop state) is byte-identical to the canonical detector's.
 SimResult run_incremental(const SppInstance& instance,
                           const SimOptions& options,
                           std::uint64_t& collisions) {
@@ -839,12 +840,13 @@ SimResult run_incremental(const SppInstance& instance,
   // Period confirmed. Locate mu — the first post-churn step whose state
   // recurs — from the hash log: candidates are indices k with
   // hashes[k] == hashes[k + lambda] (the Brent anchor guarantees the log
-  // covers the true mu and mu + lambda). Each candidate is verified by a
-  // fresh replica advanced to the k-th post-churn state and then lambda
-  // states further; on a genuine repeat that replica stands exactly where
-  // the canonical detector stopped, and its counters ARE the result. A
-  // rejected candidate (collision) restarts the replica — rare by 64-bit
-  // hashing, pathological only under a test-forced detector_hash_mask.
+  // covers the true mu and mu + lambda). Two replicas walk the candidates
+  // in lockstep: the tortoise stands on the k-th post-churn state and the
+  // hare lambda states further, so each candidate costs one step per
+  // replica and one pair of canonical renders. On a genuine repeat the
+  // hare stands exactly where the canonical detector stopped, and its
+  // counters ARE the result. A rejected candidate (collision) is counted
+  // and both replicas step on.
   const std::uint64_t lam_v = *lambda;
   const auto advance = [&options](Machine& m, std::uint64_t states) {
     while (states > 0 && !m.empty() && m.steps() < options.max_steps) {
@@ -852,16 +854,23 @@ SimResult run_incremental(const SppInstance& instance,
       if (m.detecting()) --states;
     }
   };
-  for (std::size_t k = 0; k + lam_v < hashes.size(); ++k) {
-    if (hashes[k] != hashes[k + lam_v]) continue;
-    Machine replica(instance, options);
-    advance(replica, static_cast<std::uint64_t>(k) + 1);
-    const std::string first = replica.canonical_state();
-    advance(replica, lam_v);
-    if (replica.canonical_state() == first) {
-      return replica.result(true, lam_v);
+  std::size_t k = 0;
+  while (k + lam_v < hashes.size() && hashes[k] != hashes[k + lam_v]) ++k;
+  if (k + lam_v < hashes.size()) {
+    Machine tortoise(instance, options);
+    advance(tortoise, static_cast<std::uint64_t>(k) + 1);
+    Machine hare = tortoise;
+    advance(hare, lam_v);
+    for (; k + lam_v < hashes.size(); ++k) {
+      if (hashes[k] == hashes[k + lam_v]) {
+        if (hare.canonical_state() == tortoise.canonical_state()) {
+          return hare.result(true, lam_v);
+        }
+        ++collisions;
+      }
+      advance(tortoise, 1);
+      advance(hare, 1);
     }
-    ++collisions;
   }
   // Unreachable: the Brent pass canonically confirmed a repeat, so some
   // candidate above verifies. Kept as a defensive fall-through.

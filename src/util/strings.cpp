@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace fsr::util {
@@ -110,6 +111,17 @@ std::optional<std::uint64_t> parse_u64(std::string_view text) {
 
 std::optional<int> parse_int(std::string_view text, int min, int max) {
   return parse_integer(text, min, max);
+}
+
+std::optional<double> parse_double(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      std::signbit(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::uint64_t fnv1a64(std::string_view text) noexcept {

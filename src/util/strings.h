@@ -47,6 +47,13 @@ std::optional<int> parse_int(std::string_view text,
                              int min = std::numeric_limits<int>::min(),
                              int max = std::numeric_limits<int>::max());
 
+/// Parses ALL of `text` as a finite decimal number >= 0 ("5", "0.25",
+/// "1e3"). nullopt on an empty string, any character the number does not
+/// consume ("5x", " 5"), a sign, "inf"/"nan" or a value out of double's
+/// range — the strict counterpart of atof, which reads "5x" as 5 and "abc"
+/// as 0.
+std::optional<double> parse_double(std::string_view text);
+
 /// 64-bit FNV-1a — the toolkit's one content-hash primitive (seed
 /// derivation, cache digests, shard-ring placement).
 std::uint64_t fnv1a64(std::string_view text) noexcept;

@@ -103,6 +103,55 @@ TEST(FiniteAlgebra, GaoRexfordSymbolicExtensionsAreTheFiveNonPhiEntries) {
   EXPECT_EQ(spec.extensions.size(), 5u);
 }
 
+TEST(FiniteAlgebra, SymbolicExtensionsMatchTheDenseCombinedWalk) {
+  // symbolic() visits only declared generation entries. It must emit
+  // exactly what the dense labels x signatures walk of combined_extend
+  // emits, in the same order and with the same provenance strings, on a
+  // table mixing absent generation entries, import- and export-rejected
+  // rows, explicitly allowed rows and filter rows with no generation.
+  FiniteAlgebra::Builder b("mixed");
+  for (const char* sig : {"X", "Y", "Z"}) b.add_signature(sig);
+  b.add_label("a", "b");
+  b.add_label("c", "c");
+  b.set_generation("a", "X", "Y");  // allowed (no filter rows)
+  b.set_generation("a", "Y", "Y");  // import-rejected
+  b.set_import("a", "Y", false);
+  b.set_generation("a", "Z", "X");  // export-rejected
+  b.set_export("a", "Z", false);
+  b.set_generation("b", "X", "Z");  // explicitly allowed both ways
+  b.set_import("b", "X", true);
+  b.set_export("b", "X", true);
+  b.set_generation("b", "Z", "Z");  // rejected by both filters
+  b.set_import("b", "Z", false);
+  b.set_export("b", "Z", false);
+  b.set_generation("c", "Y", "X");  // allowed
+  b.set_import("c", "X", false);    // filter rows without generation
+  b.set_export("c", "Z", false);
+  const AlgebraPtr algebra = b.build();
+  const auto& finite = dynamic_cast<const FiniteAlgebra&>(*algebra);
+
+  std::vector<SymbolicSpec::Extension> dense;
+  for (const std::string& label : finite.labels()) {
+    for (const std::string& sig : finite.signatures()) {
+      const auto extended = finite.combined_extend(A(label.c_str()),
+                                                   A(sig.c_str()));
+      if (!extended.has_value()) continue;
+      const std::string to = extended->as_atom();
+      dense.push_back({label, sig, to, label + " (+) " + sig + " = " + to});
+    }
+  }
+  const SymbolicSpec spec = finite.symbolic();
+  ASSERT_EQ(spec.extensions.size(), 3u);
+  ASSERT_EQ(spec.extensions.size(), dense.size());
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    EXPECT_EQ(spec.extensions[i].label, dense[i].label) << i;
+    EXPECT_EQ(spec.extensions[i].from_sig, dense[i].from_sig) << i;
+    EXPECT_EQ(spec.extensions[i].to_sig, dense[i].to_sig) << i;
+    EXPECT_EQ(spec.extensions[i].provenance, dense[i].provenance) << i;
+  }
+  EXPECT_EQ(spec.extensions[1].provenance, "b (+) X = Z");
+}
+
 TEST(FiniteAlgebra, GaoRexfordPreferences) {
   const AlgebraPtr a = gao_rexford_guideline_a();
   EXPECT_EQ(a->compare(A("C"), A("P")), Ordering::better);

@@ -663,6 +663,36 @@ TEST(CampaignRunner, RejectsMalformedScenarioShapes) {
   EXPECT_THROW(run_one(safety_with_both), InvalidArgument);
 }
 
+TEST(CampaignRunner, AMalformedScenarioBehindSubmittedWorkStillThrows) {
+  // Scheduling streams: the unsafe gadgets ahead of the malformed scenario
+  // are already submitted (and their repair follow-ups leave from worker
+  // callbacks) when validation throws. The run must wait for that work
+  // and surface the error, not crash or hang.
+  std::vector<Scenario> scenarios;
+  for (const char* name : {"bad", "disagree", "ibgp-figure3"}) {
+    Scenario unsafe;
+    unsafe.id = std::string("unsafe/") + name;
+    unsafe.source = "unsafe";
+    unsafe.kind = ScenarioKind::safety;
+    unsafe.spp = std::make_shared<const spp::SppInstance>(
+        spp::gadget_by_name(name));
+    scenarios.push_back(std::move(unsafe));
+  }
+  Scenario broken;
+  broken.id = "broken/emulation-without-topology";
+  broken.kind = ScenarioKind::emulation;
+  broken.algebra = algebra::gao_rexford_guideline_a();
+  scenarios.push_back(std::move(broken));
+
+  CampaignOptions options;
+  options.threads = 2;
+  options.attempt_repair = true;
+  CampaignRunner runner(options);
+  EXPECT_THROW((void)runner.run_scenarios(std::move(scenarios)),
+               InvalidArgument);
+  EXPECT_EQ(runner.cache().size(), 0u);  // nothing assembled, nothing cached
+}
+
 TEST(CampaignRunner, RejectsNonPositiveThreadCount) {
   CampaignOptions options;
   options.threads = 0;

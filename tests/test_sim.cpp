@@ -16,6 +16,7 @@
 #include "sim/simulator.h"
 #include "spp/gadgets.h"
 #include "spp/spp.h"
+#include "topology/rocketfuel.h"
 #include "util/error.h"
 
 namespace fsr::sim {
@@ -322,6 +323,35 @@ TEST(Sim, ForcedHashCollisionsAreVerifiedAwayAndCounted) {
   // BAD oscillates after a multi-step prefix: the all-collisions run must
   // have hit (and rejected) at least one fake match before the real repeat.
   EXPECT_GT(after, before);
+}
+
+TEST(Sim, RocketfuelOutlierLocatesItsRepeatThroughSameTickCollisions) {
+  // The campaign's slowest simulation: rocketfuel/seed3+gadget-ppe4
+  // (simulated) at campaign seed 645809581. Its post-churn states include
+  // 197 hash-equal pairs whose canonical strings differ only in the order
+  // of same-tick deliveries (the order-free queue sum cannot see it); the
+  // mu search must reject each of them and still stop on the true repeat.
+  topology::RocketfuelParams params;
+  params.seed = 3;
+  params.embed_gadget = true;
+  params.paths_per_egress = 4;
+  const spp::SppInstance instance =
+      topology::build_rocketfuel_ibgp(params).instance;
+  SimOptions options;
+  options.seed = 5818642209540019346ULL;
+  const std::uint64_t before =
+      obs::registry().counter("sim.hash_collisions").value();
+  const SimResult run = simulate(instance, options);
+  const std::uint64_t after =
+      obs::registry().counter("sim.hash_collisions").value();
+  EXPECT_TRUE(run.oscillating);
+  EXPECT_FALSE(run.converged);
+  EXPECT_EQ(run.steps, 2605u);
+  EXPECT_EQ(run.ticks, 36u);
+  EXPECT_EQ(run.messages, 2679u);
+  EXPECT_EQ(run.route_changes, 509u);
+  EXPECT_EQ(run.cycle_length, 1308u);
+  EXPECT_EQ(after - before, 197u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Strict integer parsing (util::parse_u64 / util::parse_int) and the CLI
-// flag helpers built on it (obs::int_flag_value / obs::u64_flag_value):
-// a value is accepted only when the WHOLE string is a base-10 integer in
-// range, and a CLI flag with anything else exits 2 with a usage message.
+// Strict number parsing (util::parse_u64 / parse_int / parse_double) and
+// the CLI flag helpers built on it (obs::int_flag_value / u64_flag_value /
+// nonnegative_flag_value): a value is accepted only when the WHOLE string
+// is a number in range, and a CLI flag with anything else exits 2 with a
+// usage message.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -51,6 +52,22 @@ TEST(ParseInt, RejectsPartialAndOutOfRangeStrings) {
   EXPECT_EQ(util::parse_int("-1", 0, 65535), std::nullopt);
 }
 
+TEST(ParseDouble, AcceptsWholeFiniteNonNegativeNumbers) {
+  EXPECT_EQ(util::parse_double("5"), std::optional<double>(5.0));
+  EXPECT_EQ(util::parse_double("0"), std::optional<double>(0.0));
+  EXPECT_EQ(util::parse_double("0.25"), std::optional<double>(0.25));
+  EXPECT_EQ(util::parse_double("1e3"), std::optional<double>(1000.0));
+  EXPECT_EQ(util::parse_double("1000.5"), std::optional<double>(1000.5));
+}
+
+TEST(ParseDouble, RejectsPartialSignedAndNonFiniteStrings) {
+  for (const char* text :
+       {"", "5x", "abc", " 5", "5 ", "+5", "-1", "-0", "-0.5", "1e", "0x10",
+        "inf", "nan", "1e400", "5ms"}) {
+    EXPECT_EQ(util::parse_double(text), std::nullopt) << "'" << text << "'";
+  }
+}
+
 /// argv for one "--flag value" pair, as main() sees it.
 struct Argv {
   explicit Argv(std::vector<std::string> args) : storage(std::move(args)) {
@@ -74,6 +91,12 @@ TEST(FlagValue, ParsesAndAdvancesPastTheValue) {
                                 "--seed"),
             12u);
   EXPECT_EQ(i, 4);
+  Argv slow({"tool", "--slow-ms", "2.5"});
+  i = 1;
+  EXPECT_EQ(obs::nonnegative_flag_value(slow.argc(), slow.argv(), i, "tool",
+                                        "--slow-ms"),
+            2.5);
+  EXPECT_EQ(i, 2);
 }
 
 TEST(FlagValueDeathTest, BadValuesExitTwoWithAUsageMessage) {
@@ -94,6 +117,16 @@ TEST(FlagValueDeathTest, BadValuesExitTwoWithAUsageMessage) {
   EXPECT_EXIT(u64_flag("12abc"), ::testing::ExitedWithCode(2),
               "tool: --seed needs an integer >= 0, not '12abc'");
   EXPECT_EXIT(u64_flag("1e6"), ::testing::ExitedWithCode(2), "--seed");
+  const auto number_flag = [](std::string value) {
+    Argv args({"tool", "--slow-ms", std::move(value)});
+    int i = 1;
+    obs::nonnegative_flag_value(args.argc(), args.argv(), i, "tool",
+                                "--slow-ms");
+  };
+  EXPECT_EXIT(number_flag("5x"), ::testing::ExitedWithCode(2),
+              "tool: --slow-ms needs a number >= 0, not '5x'");
+  EXPECT_EXIT(number_flag("abc"), ::testing::ExitedWithCode(2), "--slow-ms");
+  EXPECT_EXIT(number_flag("-1"), ::testing::ExitedWithCode(2), "--slow-ms");
   EXPECT_EXIT(
       {
         Argv args({"tool", "--seed"});
