@@ -22,7 +22,13 @@
 // sim_collision_cost_ratio (sim_collision_cost_ratio_min): the same
 // incremental sweep's wall clock over its wall clock with every state hash
 // forced equal, which collapses if locating the first repeat goes back to
-// replaying the run once per hash-equal candidate.
+// replaying the run once per hash-equal candidate. And so is
+// sim_step_cost_ratio (sim_step_cost_ratio_min): the bad gadget's
+// nanoseconds per step over the Rocketfuel iBGP instances' (the Figure-3
+// gadget embedded in an 87-router topology, 20 seeds each). A machine that
+// works on interned ids pays about the same per step on both; one that
+// keys its state by node names pays for the larger instance on every
+// event, and the ratio falls with it.
 //
 //   bench_sim [--json FILE] [--check THRESHOLDS]
 #include <chrono>
@@ -35,6 +41,7 @@
 #include "sim/simulator.h"
 #include "spp/gadgets.h"
 #include "spp/spp.h"
+#include "topology/rocketfuel.h"
 
 namespace {
 
@@ -53,10 +60,11 @@ struct SweepStats {
 SweepStats sweep(const fsr::spp::SppInstance& instance,
                  const std::string& scenario,
                  const std::string& detector = "incremental",
-                 std::uint64_t detector_hash_mask = ~0ULL) {
+                 std::uint64_t detector_hash_mask = ~0ULL,
+                 std::uint64_t seeds = k_seeds_per_instance) {
   SweepStats stats;
   const auto start = std::chrono::steady_clock::now();
-  for (std::uint64_t s = 0; s < k_seeds_per_instance; ++s) {
+  for (std::uint64_t s = 0; s < seeds; ++s) {
     fsr::sim::SimOptions options;
     options.seed = k_seed_base + s;
     options.scenario = scenario;
@@ -73,6 +81,19 @@ SweepStats sweep(const fsr::spp::SppInstance& instance,
   stats.wall_ms =
       std::chrono::duration<double, std::milli>(stop - start).count();
   return stats;
+}
+
+/// The fastest of three steady sweeps over `seeds` seeds (the minimum
+/// filters out scheduler noise); its wall clock and step count.
+SweepStats best_of_three(const fsr::spp::SppInstance& instance,
+                         std::uint64_t seeds) {
+  SweepStats best = sweep(instance, "steady", "incremental", ~0ULL, seeds);
+  for (int rep = 1; rep < 3; ++rep) {
+    const SweepStats again =
+        sweep(instance, "steady", "incremental", ~0ULL, seeds);
+    if (again.wall_ms < best.wall_ms) best = again;
+  }
+  return best;
 }
 
 std::string fmt(double value, const char* suffix = "") {
@@ -188,6 +209,47 @@ int main(int argc, char** argv) {
                       fmt(masked.wall_ms), fmt(ratio, "x")},
                      15);
     metrics["sim_collision_cost_ratio"] = ratio;
+  }
+
+  bench::print_banner(
+      "sim step cost: bad gadget vs Rocketfuel iBGP + Figure-3 gadget "
+      "(ppe4), 20 seeds, best of 3");
+  bench::print_row({"instance", "osc", "steps/run", "ns/step"}, 15);
+  {
+    const auto ns_per_step = [](const SweepStats& stats) {
+      return 1e6 * stats.wall_ms / static_cast<double>(stats.steps);
+    };
+    const SweepStats bad =
+        best_of_three(fsr::spp::gadget_by_name("bad"), k_seeds_per_instance);
+    bench::print_row({"bad",
+                      std::to_string(bad.oscillating) + "/" +
+                          std::to_string(bad.runs),
+                      fmt(static_cast<double>(bad.steps) /
+                          static_cast<double>(bad.runs)),
+                      fmt(ns_per_step(bad))},
+                     15);
+    SweepStats rocketfuel;
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      fsr::topology::RocketfuelParams params;
+      params.seed = seed;
+      params.embed_gadget = true;
+      params.paths_per_egress = 4;
+      const SweepStats stats = best_of_three(
+          fsr::topology::build_rocketfuel_ibgp(params).instance, 20);
+      bench::print_row({"rf" + std::to_string(seed) + "+gadget",
+                        std::to_string(stats.oscillating) + "/" +
+                            std::to_string(stats.runs),
+                        fmt(static_cast<double>(stats.steps) /
+                            static_cast<double>(stats.runs)),
+                        fmt(ns_per_step(stats))},
+                       15);
+      rocketfuel.wall_ms += stats.wall_ms;
+      rocketfuel.steps += stats.steps;
+    }
+    metrics["sim_rocketfuel_ns_per_step"] = ns_per_step(rocketfuel);
+    metrics["sim_step_cost_ratio"] = ns_per_step(bad) / ns_per_step(rocketfuel);
+    bench::print_row({"ratio", "", "", fmt(metrics["sim_step_cost_ratio"])},
+                     15);
   }
 
   metrics["sim_messages_per_sec"] = 1000.0 * total_messages / total_ms;

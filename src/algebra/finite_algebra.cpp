@@ -61,10 +61,10 @@ Ordering FiniteAlgebra::compare(const Value& lhs, const Value& rhs) const {
   const std::size_t i = sig_index_.at(a);
   const std::size_t j = sig_index_.at(b);
   if (i == j) return Ordering::equal;
-  const bool ab_strict = reach_strict_[i][j];
-  const bool ba_strict = reach_strict_[j][i];
-  const bool ab_weak = reach_weak_[i][j];
-  const bool ba_weak = reach_weak_[j][i];
+  const bool ab_strict = reaches(reach_strict_, i, j);
+  const bool ba_strict = reaches(reach_strict_, j, i);
+  const bool ab_weak = reaches(reach_weak_, i, j);
+  const bool ba_weak = reaches(reach_weak_, j, i);
   if (ab_strict) return Ordering::better;
   if (ba_strict) return Ordering::worse;
   if (ab_weak && ba_weak) return Ordering::equal;  // mutual weak: same class
@@ -102,44 +102,55 @@ void FiniteAlgebra::compute_preference_closure() {
   std::size_t n = 0;
   for (const std::string& sig : signatures_) sig_index_[sig] = n++;
 
-  reach_weak_.assign(n, std::vector<bool>(n, false));
-  reach_strict_.assign(n, std::vector<bool>(n, false));
-  for (std::size_t i = 0; i < n; ++i) reach_weak_[i][i] = true;
+  row_words_ = (n + 63) / 64;
+  reach_weak_.assign(n * row_words_, 0);
+  reach_strict_.assign(n * row_words_, 0);
+  const auto set = [this](std::vector<std::uint64_t>& rows, std::size_t i,
+                          std::size_t j) {
+    rows[i * row_words_ + j / 64] |= std::uint64_t{1} << (j % 64);
+  };
+  for (std::size_t i = 0; i < n; ++i) set(reach_weak_, i, i);
 
   for (const auto& pref : preferences_) {
     const std::size_t i = sig_index_.at(pref.lhs);
     const std::size_t j = sig_index_.at(pref.rhs);
     switch (pref.rel) {
       case PrefRel::strictly_better:
-        reach_weak_[i][j] = true;
-        reach_strict_[i][j] = true;
+        set(reach_weak_, i, j);
+        set(reach_strict_, i, j);
         break;
       case PrefRel::better_or_equal:
-        reach_weak_[i][j] = true;
+        set(reach_weak_, i, j);
         break;
       case PrefRel::equal:
-        reach_weak_[i][j] = true;
-        reach_weak_[j][i] = true;
+        set(reach_weak_, i, j);
+        set(reach_weak_, j, i);
         break;
     }
   }
 
-  // Floyd-Warshall-style closure tracking strictness.
+  // Warshall over bitset rows, tracking strictness: every row i that
+  // reaches k gains row k. Its strict row gains all of row k when i -> k
+  // is strict, and row k's strict bits otherwise (strict bits imply weak
+  // ones, so i -> k -> j is strict exactly when either half is).
   for (std::size_t k = 0; k < n; ++k) {
+    const std::uint64_t* weak_k = &reach_weak_[k * row_words_];
+    const std::uint64_t* strict_k = &reach_strict_[k * row_words_];
     for (std::size_t i = 0; i < n; ++i) {
-      if (!reach_weak_[i][k]) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (!reach_weak_[k][j]) continue;
-        reach_weak_[i][j] = true;
-        if (reach_strict_[i][k] || reach_strict_[k][j]) {
-          reach_strict_[i][j] = true;
-        }
+      if (!reaches(reach_weak_, i, k)) continue;
+      const std::uint64_t* via =
+          reaches(reach_strict_, i, k) ? weak_k : strict_k;
+      std::uint64_t* weak_i = &reach_weak_[i * row_words_];
+      std::uint64_t* strict_i = &reach_strict_[i * row_words_];
+      for (std::size_t w = 0; w < row_words_; ++w) {
+        weak_i[w] |= weak_k[w];
+        strict_i[w] |= via[w];
       }
     }
   }
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (reach_strict_[i][i]) {
+    if (reaches(reach_strict_, i, i)) {
       preferences_consistent_ = false;
       return;
     }

@@ -22,6 +22,7 @@
 #ifndef FSR_ALGEBRA_FINITE_ALGEBRA_H
 #define FSR_ALGEBRA_FINITE_ALGEBRA_H
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -80,10 +81,17 @@ class FiniteAlgebra final : public RoutingAlgebra {
   std::vector<SymbolicSpec::Preference> preferences_;
 
   // Preference closure: for each ordered signature pair, whether lhs is
-  // reachable from rhs ("weak") and whether some step is strict.
+  // reachable from rhs ("weak") and whether some step is strict. Row i of
+  // each relation is a bitset of row_words_ 64-bit words.
+  bool reaches(const std::vector<std::uint64_t>& rows, std::size_t i,
+               std::size_t j) const noexcept {
+    return ((rows[i * row_words_ + j / 64] >> (j % 64)) & 1) != 0;
+  }
+
   std::map<std::string, std::size_t> sig_index_;
-  std::vector<std::vector<bool>> reach_weak_;
-  std::vector<std::vector<bool>> reach_strict_;
+  std::size_t row_words_ = 0;
+  std::vector<std::uint64_t> reach_weak_;
+  std::vector<std::uint64_t> reach_strict_;
   bool preferences_consistent_ = true;
 };
 

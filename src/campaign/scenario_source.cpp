@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
+#include <optional>
+#include <string_view>
+#include <unordered_map>
 
 #include "algebra/standard_policies.h"
 #include "spp/gadgets.h"
@@ -26,10 +28,12 @@ Scenario make_scenario(std::string source, std::string id, ScenarioKind kind,
 /// The preference rule shared with proto/reference_pv's aggregate: `a`
 /// outranks `b` when the algebra strictly prefers it, or when they are
 /// equal/incomparable and `a` is structurally smaller — a deterministic
-/// total refinement of the algebra's partial order.
+/// total refinement of the algebra's partial order. Paths are node-id
+/// sequences whose id order is name order, so the structural order is the
+/// (signature, node names) order.
 bool outranks(const algebra::RoutingAlgebra& alg,
-              const std::pair<algebra::Value, spp::Path>& a,
-              const std::pair<algebra::Value, spp::Path>& b) {
+              const std::pair<algebra::Value, std::vector<std::uint32_t>>& a,
+              const std::pair<algebra::Value, std::vector<std::uint32_t>>& b) {
   const algebra::Ordering order = alg.compare(a.first, b.first);
   if (order == algebra::Ordering::better) return true;
   if (order == algebra::Ordering::worse) return false;
@@ -336,18 +340,37 @@ spp::SppInstance spp_from_topology(std::string name,
                                    std::size_t max_candidates,
                                    std::size_t paths_per_node) {
   spp::SppInstance instance(std::move(name), topology.destination);
-  std::map<std::string, std::vector<std::string>> adjacency;
-  // from -> (to -> from's label towards to); one pass here instead of a
-  // linear link scan per fold step (path_signature's label_of would make
-  // extraction quadratic on hierarchy-scale topologies).
-  std::map<std::string, std::map<std::string, algebra::Value>> labels;
+  // Dense node ids in sorted-name order, so comparing ids compares names:
+  // the neighbour tie-break and the structural path order below need no
+  // strings, and names are built only for the paths that are kept.
+  std::vector<std::string> names = topology.nodes;
+  names.push_back(topology.destination);
+  for (const topology::TopoLink& link : topology.links) {
+    names.push_back(link.u);
+    names.push_back(link.v);
+  }
+  std::sort(names.begin(), names.end());
+  names.erase(std::unique(names.begin(), names.end()), names.end());
+  std::unordered_map<std::string_view, std::uint32_t> id_of;
+  for (std::uint32_t id = 0; id < names.size(); ++id) {
+    id_of.emplace(names[id], id);
+  }
+  const std::uint32_t destination = id_of.at(topology.destination);
+
+  // node -> (neighbour, node's label towards it): the label rides along
+  // the adjacency, so folding a path never searches the link list.
+  struct Neighbour {
+    std::uint32_t node;
+    const algebra::Value* label;
+  };
+  std::vector<std::vector<Neighbour>> adjacency(names.size());
   for (const topology::TopoLink& link : topology.links) {
     if (instance.has_edge(link.u, link.v)) continue;  // parallel links: first wins
     instance.add_edge(link.u, link.v);
-    adjacency[link.u].push_back(link.v);
-    adjacency[link.v].push_back(link.u);
-    labels[link.u].emplace(link.v, link.label_uv);
-    labels[link.v].emplace(link.u, link.label_vu);
+    const std::uint32_t u = id_of.at(link.u);
+    const std::uint32_t v = id_of.at(link.v);
+    adjacency[u].push_back({v, &link.label_uv});
+    adjacency[v].push_back({u, &link.label_vu});
   }
 
   // BFS hop distances to the destination: the enumerator only follows
@@ -355,23 +378,20 @@ spp::SppInstance spp_from_topology(std::string name,
   // never wanders into branches with no destination in reach — without
   // this, top-tier nodes of a deep hierarchy explore exponentially many
   // dead ends before the candidate cap bites.
-  std::map<std::string, std::int32_t> dist;
-  {
-    std::vector<std::string> frontier = {topology.destination};
-    dist[topology.destination] = 0;
-    while (!frontier.empty()) {
-      std::vector<std::string> next_frontier;
-      for (const std::string& here : frontier) {
-        const auto it = adjacency.find(here);
-        if (it == adjacency.end()) continue;
-        for (const std::string& next : it->second) {
-          if (dist.emplace(next, dist[here] + 1).second) {
-            next_frontier.push_back(next);
-          }
-        }
+  constexpr auto k_unreachable = std::numeric_limits<std::int32_t>::max();
+  std::vector<std::int32_t> dist(names.size(), k_unreachable);
+  dist[destination] = 0;
+  std::vector<std::uint32_t> frontier = {destination};
+  while (!frontier.empty()) {
+    std::vector<std::uint32_t> next_frontier;
+    for (const std::uint32_t here : frontier) {
+      for (const Neighbour& next : adjacency[here]) {
+        if (dist[next.node] != k_unreachable) continue;
+        dist[next.node] = dist[here] + 1;
+        next_frontier.push_back(next.node);
       }
-      frontier = std::move(next_frontier);
     }
+    frontier = std::move(next_frontier);
   }
   // Destination-ward neighbour order (ties by name, unreachable last): the
   // DFS dives straight towards the destination before spending budget on
@@ -379,81 +399,66 @@ spp::SppInstance spp_from_topology(std::string name,
   // cannot complete any path — e.g. a stub destination's single provider
   // exploring the whole core first — and "nearest neighbour first" keeps
   // which paths get found independent of link declaration order.
-  for (auto& [node, neighbours] : adjacency) {
+  for (std::vector<Neighbour>& neighbours : adjacency) {
     std::sort(neighbours.begin(), neighbours.end(),
-              [&](const std::string& a, const std::string& b) {
-                const auto da = dist.find(a);
-                const auto db = dist.find(b);
-                const std::int32_t ka =
-                    da == dist.end() ? std::numeric_limits<std::int32_t>::max()
-                                     : da->second;
-                const std::int32_t kb =
-                    db == dist.end() ? std::numeric_limits<std::int32_t>::max()
-                                     : db->second;
-                if (ka != kb) return ka < kb;
-                return a < b;
+              [&](const Neighbour& a, const Neighbour& b) {
+                if (dist[a.node] != dist[b.node]) {
+                  return dist[a.node] < dist[b.node];
+                }
+                return a.node < b.node;
               });
   }
 
-  /// sigma(p) over the prebuilt label map, folded exactly as
-  /// proto::path_signature: origination on the destination-adjacent link,
-  /// combined_extend outward to the source.
-  const auto fold_signature =
-      [&](const spp::Path& path) -> std::optional<algebra::Value> {
-    const auto label_of = [&](const std::string& from,
-                              const std::string& to) {
-      return labels.at(from).at(to);
-    };
-    std::optional<algebra::Value> sig =
-        algebra.originate(label_of(path[path.size() - 2], path.back()));
-    for (std::size_t i = path.size() - 2; i-- > 0;) {
-      if (!sig.has_value()) return sig;
-      sig = algebra.combined_extend(label_of(path[i], path[i + 1]), *sig);
-    }
-    return sig;
-  };
-
+  std::vector<char> on_path(names.size(), 0);
+  std::vector<const Neighbour*> hops;  // the DFS prefix after its source
   for (const std::string& node : topology.nodes) {
     if (node == topology.destination) continue;
-    std::vector<spp::Path> candidates;
+    const std::uint32_t source = id_of.at(node);
+    std::vector<std::vector<const Neighbour*>> candidates;
     // Guided DFS: extend only along edges whose endpoint can still reach
     // the destination within the remaining edge budget. The step budget is
     // a deterministic backstop against pathological path diversity.
     std::size_t steps_left = 64 * max_candidates;
-    spp::Path prefix = {node};
-    const auto dfs = [&](const auto& self, const std::string& here) -> void {
+    const auto dfs = [&](const auto& self, std::uint32_t here) -> void {
       if (candidates.size() >= max_candidates || steps_left == 0) return;
       --steps_left;
-      if (here == topology.destination) {
-        candidates.push_back(prefix);
+      if (here == destination) {
+        candidates.push_back(hops);
         return;
       }
-      const std::int32_t used =
-          static_cast<std::int32_t>(prefix.size()) - 1;
-      const auto it = adjacency.find(here);
-      if (it == adjacency.end()) return;
-      for (const std::string& next : it->second) {
-        const auto d = dist.find(next);
-        if (d == dist.end() || used + 1 + d->second > max_path_edges) {
+      const auto used = static_cast<std::int32_t>(hops.size());
+      for (const Neighbour& next : adjacency[here]) {
+        if (dist[next.node] == k_unreachable ||
+            used + 1 + dist[next.node] > max_path_edges || on_path[next.node]) {
           continue;
         }
-        if (std::find(prefix.begin(), prefix.end(), next) != prefix.end()) {
-          continue;
-        }
-        prefix.push_back(next);
-        self(self, next);
-        prefix.pop_back();
+        on_path[next.node] = 1;
+        hops.push_back(&next);
+        self(self, next.node);
+        hops.pop_back();
+        on_path[next.node] = 0;
       }
     };
-    dfs(dfs, node);
-    // Fold each candidate through the algebra; phi paths (e.g. valley
+    on_path[source] = 1;
+    dfs(dfs, source);
+    on_path[source] = 0;
+    // Fold each candidate through the algebra exactly as
+    // proto::path_signature does — origination on the destination-adjacent
+    // link, combined_extend outward to the source; phi paths (e.g. valley
     // violations under Gao-Rexford export rules) drop out here, exactly as
     // they would never be advertised by the protocol.
-    std::vector<std::pair<algebra::Value, spp::Path>> ranked;
+    std::vector<std::pair<algebra::Value, std::vector<std::uint32_t>>> ranked;
     ranked.reserve(candidates.size());
-    for (spp::Path& path : candidates) {
-      const auto sig = fold_signature(path);
-      if (sig.has_value()) ranked.emplace_back(*sig, std::move(path));
+    for (const std::vector<const Neighbour*>& path : candidates) {
+      std::optional<algebra::Value> sig =
+          algebra.originate(*path.back()->label);
+      for (std::size_t i = path.size() - 1; i-- > 0 && sig.has_value();) {
+        sig = algebra.combined_extend(*path[i]->label, *sig);
+      }
+      if (!sig.has_value()) continue;
+      std::vector<std::uint32_t> ids = {source};
+      for (const Neighbour* hop : path) ids.push_back(hop->node);
+      ranked.emplace_back(std::move(*sig), std::move(ids));
     }
     // Repeated best-pick under the shared preference rule instead of a
     // comparison sort: algebra::compare is a partial order, which is not a
@@ -465,7 +470,9 @@ spp::SppInstance spp_from_topology(std::string name,
         if (outranks(algebra, ranked[j], ranked[best])) best = j;
       }
       std::swap(ranked[i], ranked[best]);
-      instance.add_permitted_path(ranked[i].second);
+      spp::Path path;
+      for (const std::uint32_t id : ranked[i].second) path.push_back(names[id]);
+      instance.add_permitted_path(path);
     }
   }
   return instance;

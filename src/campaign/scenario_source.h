@@ -129,8 +129,13 @@ std::unique_ptr<ScenarioSource> make_builtin_source(
 /// algebra rejects (phi) are dropped. Each node keeps its
 /// `paths_per_node` best candidates, ranked by algebra::compare with the
 /// structural (signature, path) order breaking ties and incomparability
-/// deterministically. Deterministic in its arguments; exposed for tests
-/// and the as-hierarchy simulation sweep.
+/// deterministically. Candidates come from a depth-first search that visits
+/// neighbours nearest-to-the-destination first (ties by name), follows only
+/// edges that can still reach the destination within the edge budget, and
+/// stops after 64 x `max_candidates` steps per node. The first of parallel
+/// links wins. The search runs on dense node ids; node names are built
+/// only for the paths that are kept. Deterministic in its arguments;
+/// exposed for tests and the as-hierarchy simulation sweep.
 spp::SppInstance spp_from_topology(std::string name,
                                    const topology::Topology& topology,
                                    const algebra::RoutingAlgebra& algebra,

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <optional>
 #include <queue>
-#include <set>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -20,22 +19,23 @@ namespace fsr::sim {
 
 namespace {
 
-using spp::Assignment;
 using spp::Path;
 using spp::SppInstance;
 
-using Link = std::pair<std::string, std::string>;  // normalised (min, max)
+using NodeId = std::uint32_t;
+using PathId = std::uint32_t;
+using LinkId = std::uint32_t;
 
-Link link_of(const std::string& u, const std::string& v) {
-  return u < v ? Link{u, v} : Link{v, u};
-}
+/// "No node" (an event without a second endpoint), "no path" (an empty
+/// adj-rib-in slot, a withdrawal, no selection) and "no suffix" alike.
+constexpr std::uint32_t k_none = ~std::uint32_t{0};
 
 // -- hashing primitives -------------------------------------------------------
 //
 // The incremental detector keeps one 64-bit accumulator per state component.
 // Set-like components (selections, adj-rib-ins, down links) XOR avalanched
-// FNV-1a entry hashes, so insert/erase are O(1) at the mutation site. The
-// time-relative components (the event queue and the MRAI timers, whose
+// entry hashes of their ids, so insert/erase are O(1) at the mutation site.
+// The time-relative components (the event queue and the MRAI timers, whose
 // canonical form uses offsets from the current tick) instead accumulate
 //   sum over entries of entry_hash * R^(absolute tick)   (mod 2^64)
 // for an odd constant R: multiplying the sum by R^(-now) at read time yields
@@ -78,27 +78,121 @@ std::uint64_t avalanche(std::uint64_t x) {
   return x;
 }
 
-std::uint64_t fnv_byte(std::uint64_t h, unsigned char b) {
-  return (h ^ b) * k_fnv_prime;
+/// Entry hash of a tagged tuple of ids: two 32-bit words per avalanche
+/// round, so distinct tuples of one tag collide only by chance.
+std::uint64_t entry_hash(char tag, std::uint32_t a, std::uint32_t b,
+                         std::uint32_t c = 0, std::uint32_t d = 0) {
+  std::uint64_t h = avalanche(k_fnv_offset ^ static_cast<unsigned char>(tag));
+  h = avalanche(h ^ ((std::uint64_t{a} << 32) | b));
+  return avalanche(h ^ ((std::uint64_t{c} << 32) | d));
 }
 
-std::uint64_t fnv_str(std::uint64_t h, const std::string& s) {
-  for (const char c : s) h = fnv_byte(h, static_cast<unsigned char>(c));
-  return fnv_byte(h, 0x1F);  // terminator keeps concatenations unambiguous
-}
+/// The instance interned to dense ids, built once per simulate() call and
+/// shared by every replica. Node ids follow sorted-name order, so every
+/// neighbour order and node order of the protocol is the name order; links
+/// follow edges() order, the order the schedule draws per-link delays and
+/// the churn pick in; permitted paths are interned by content (an instance
+/// may list a path twice), so path equality is id equality.
+struct View {
+  struct Adjacent {
+    NodeId peer;
+    LinkId link;
+  };
+  struct Link {
+    NodeId u;
+    NodeId v;
+    std::uint32_t rib_u = 0;  // u's adj-rib-in entry for v
+    std::uint32_t rib_v = 0;  // v's adj-rib-in entry for u
+  };
+  struct PathInfo {
+    const Path* path;  // the instance's node sequence, for rendering
+    NodeId next_hop;
+    PathId suffix;      // the path minus its source if permitted, else k_none
+    std::uint32_t rib;  // the source's adj-rib-in entry for the next hop
+    LinkId link;        // the first hop's link
+    bool direct;        // a one-hop path to the destination
+  };
 
-std::uint64_t fnv_path(std::uint64_t h, const Path& path) {
-  for (const std::string& hop : path) h = fnv_str(h, hop);
-  return fnv_byte(h, 0x1E);
-}
+  explicit View(const SppInstance& spp) : instance(spp), names(spp.nodes()) {
+    const auto at =
+        std::lower_bound(names.begin(), names.end(), spp.destination());
+    destination = static_cast<NodeId>(at - names.begin());
+    names.insert(at, spp.destination());
+    std::unordered_map<std::string_view, NodeId> id_of;
+    for (NodeId id = 0; id < names.size(); ++id) id_of.emplace(names[id], id);
 
-/// One scheduled event. `seq` is the global insertion counter: the queue
-/// pops in (tick, seq) order, so ties resolve by enqueue order and the
-/// whole run is a deterministic function of the initial schedule.
+    adjacency.resize(names.size());
+    for (const auto& [u, v] : spp.edges()) {
+      const Link link{id_of.at(u), id_of.at(v)};
+      adjacency[link.u].push_back({link.v, static_cast<LinkId>(links.size())});
+      adjacency[link.v].push_back({link.u, static_cast<LinkId>(links.size())});
+      links.push_back(link);
+    }
+    for (NodeId node = 0; node < names.size(); ++node) {
+      std::sort(adjacency[node].begin(), adjacency[node].end(),
+                [](const Adjacent& x, const Adjacent& y) {
+                  return x.peer < y.peer;
+                });
+      for (const Adjacent& adjacent : adjacency[node]) {
+        Link& link = links[adjacent.link];
+        (link.u == node ? link.rib_u : link.rib_v) = rib_size++;
+      }
+    }
+
+    // Interned by hop-id content: a suffix has an id only if the next hop
+    // permits it, and only then can the next hop ever advertise it.
+    std::unordered_map<std::u32string, PathId> interned;
+    std::vector<const std::u32string*> keys;
+    permitted.resize(names.size());
+    for (NodeId node = 0; node < names.size(); ++node) {
+      if (node == destination) continue;
+      for (const Path& path : spp.permitted(names[node])) {
+        std::u32string key;
+        for (const std::string& hop : path) key.push_back(id_of.at(hop));
+        const auto [it, fresh] =
+            interned.emplace(std::move(key), static_cast<PathId>(paths.size()));
+        if (fresh) {
+          const NodeId next = it->first[1];
+          const LinkId link =
+              std::lower_bound(adjacency[node].begin(), adjacency[node].end(),
+                               next, [](const Adjacent& x, NodeId peer) {
+                                 return x.peer < peer;
+                               })->link;
+          paths.push_back(PathInfo{&path, next, k_none, rib_entry(link, node),
+                                   link, path.size() == 2});
+          keys.push_back(&it->first);
+        }
+        permitted[node].push_back(it->second);
+      }
+    }
+    for (PathId id = 0; id < paths.size(); ++id) {
+      const auto it = interned.find(keys[id]->substr(1));
+      if (it != interned.end()) paths[id].suffix = it->second;
+    }
+  }
+
+  /// `node`'s adj-rib-in entry for messages arriving over `link`.
+  std::uint32_t rib_entry(LinkId link, NodeId node) const noexcept {
+    return links[link].u == node ? links[link].rib_u : links[link].rib_v;
+  }
+
+  const SppInstance& instance;
+  std::vector<std::string> names;  // node id -> name, sorted
+  NodeId destination = 0;
+  std::vector<Link> links;                       // edges() order
+  std::vector<std::vector<Adjacent>> adjacency;  // by peer id
+  std::uint32_t rib_size = 0;                    // adj-rib-in entries
+  std::vector<PathInfo> paths;
+  std::vector<std::vector<PathId>> permitted;  // node -> ranked path ids
+};
+
+/// One scheduled event: plain ids. `seq` is the global insertion counter:
+/// the queue pops in (tick, seq) order, so ties resolve by enqueue order
+/// and the whole run is a deterministic function of the initial schedule.
 struct Event {
   enum class Kind : std::uint8_t {
     activate,       // a = node: (re)run the selection rule, advertise changes
-    deliver,        // a -> b carrying `payload` (nullopt = withdrawal)
+    deliver,        // a -> b over `link` carrying `path` (k_none = withdrawal)
     timer,          // a = node: MRAI window expired, flush batched changes
     link_down,      // a~b fails: in-flight lost, both ends withdraw state
     link_up,        // a~b recovers: sessions re-establish, both ends re-send
@@ -107,11 +201,12 @@ struct Event {
 
   std::uint64_t tick = 0;
   std::uint64_t seq = 0;
-  Kind kind = Kind::activate;
-  std::string a;
-  std::string b;
-  std::optional<Path> payload;
   std::uint64_t epoch = 0;  // deliver: sending link's epoch (stale = lost)
+  Kind kind = Kind::activate;
+  NodeId a = k_none;
+  NodeId b = k_none;
+  PathId path = k_none;
+  LinkId link = k_none;
 };
 
 struct EventAfter {
@@ -141,27 +236,33 @@ Suppression parse_suppression(const std::string& name) {
   return Suppression::none;
 }
 
+/// Appends `word` to a canonical-state encoding as raw bytes.
+template <typename Word>
+void put(std::string& out, Word word) {
+  out.append(reinterpret_cast<const char*>(&word), sizeof word);
+}
+
 /// The whole machine. Built once per detector pass; everything mutable
-/// lives here, every mutation site keeps the per-component hashes in step,
-/// and the canonical-state renderer can still see all of it for
-/// verification.
+/// lives here as ids over the shared View, every mutation site keeps the
+/// per-component hashes in step, and the canonical-state encoder can still
+/// see all of it for verification.
 class Machine {
  public:
-  Machine(const SppInstance& instance, const SimOptions& options)
-      : instance_(instance),
+  Machine(const View& view, const SimOptions& options)
+      : view_(view),
         options_(options),
-        suppression_(parse_suppression(options.suppression)) {
+        suppression_(parse_suppression(options.suppression)),
+        delay_(view.links.size()),
+        epoch_(view.links.size(), 0),
+        down_(view.links.size(), 0),
+        selections_(view.names.size(), k_none),
+        rib_(view.rib_size, k_none),
+        timers_(view.names.size()) {
     util::Rng rng(options.seed);
-    for (const auto& [u, v] : instance.edges()) {
-      delay_[link_of(u, v)] = static_cast<std::uint64_t>(rng.uniform_int(
+    for (std::uint64_t& delay : delay_) {
+      delay = static_cast<std::uint64_t>(rng.uniform_int(
           1, static_cast<std::int64_t>(
                  options.max_link_delay < 1 ? 1 : options.max_link_delay)));
-      if (u != instance.destination()) adjacency_[u].push_back(v);
-      if (v != instance.destination()) adjacency_[v].push_back(u);
-    }
-    // Deterministic neighbour order regardless of edge declaration order.
-    for (auto& [node, neighbours] : adjacency_) {
-      std::sort(neighbours.begin(), neighbours.end());
     }
     schedule_scenario(rng);
   }
@@ -176,7 +277,7 @@ class Machine {
 
   /// Processes the next event (the queue must be non-empty).
   void step() {
-    Event event = pop();
+    const Event event = pop();
     now_ = event.tick;
     ++steps_;
     process(event);
@@ -197,55 +298,35 @@ class Machine {
     return avalanche(h) & options_.detector_hash_mask;
   }
 
-  /// Canonical rendering of the ENTIRE machine state with absolute times
-  /// replaced by offsets from `now_` and sequence numbers by their relative
-  /// order. Two states with equal strings evolve identically (the queue
-  /// comparator only reads tick and relative seq order), so a repeat proves
-  /// a cycle — the detection is exact, never a heuristic. The incremental
-  /// detector renders this only at Brent teleports and on hash matches.
+  /// Exact encoding of the ENTIRE machine state as fixed-width id words,
+  /// with absolute times replaced by offsets from `now_` and sequence
+  /// numbers by their relative order. Every section but the queue has a
+  /// fixed length for the instance, and each ends in a terminator, so the
+  /// encoding is injective whatever the node names are. Two states with
+  /// equal encodings evolve identically (the queue comparator only reads
+  /// tick and relative seq order), so a repeat proves a cycle — the
+  /// detection is exact, never a heuristic. The incremental detector
+  /// encodes only at Brent teleports and on hash matches.
   std::string canonical_state() const {
     std::string out;
-    out.reserve(256);
-    out += "sel:";
-    for (const auto& [node, path] : selections_) {
-      out += node;
-      out += '=';
-      out += spp::path_name(path);
-      out += ';';
-    }
-    out += "|rib:";
-    for (const auto& [node, rib] : rib_in_) {
-      for (const auto& [peer, path] : rib) {
-        out += node;
-        out += '<';
-        out += peer;
-        out += '=';
-        out += spp::path_name(path);
-        out += ';';
-      }
-    }
-    out += "|down:";
-    for (const auto& link : down_) {
-      out += link.first;
-      out += '~';
-      out += link.second;
-      out += ';';
-    }
+    out.reserve(4 * (selections_.size() + rib_.size()) + down_.size() +
+                32 * (heap_.size() + 4));
+    for (const PathId selection : selections_) put(out, selection);
+    put(out, k_none);
+    for (const PathId heard : rib_) put(out, heard);
+    put(out, k_none);
+    out.append(down_.begin(), down_.end());
+    put(out, k_none);
     if (options_.mrai_ticks > 0) {
-      out += "|mrai:";
-      for (const auto& [node, timer] : timers_) {
-        if (timer.ready_tick > now_ || timer.dirty || timer.pending) {
-          out += node;
-          out += '=';
-          out += std::to_string(
-              timer.ready_tick > now_ ? timer.ready_tick - now_ : 0);
-          out += timer.dirty ? 'd' : '-';
-          out += timer.pending ? 'p' : '-';
-          out += ';';
-        }
+      // A lapsed, clean, idle timer has no effect on the run and encodes
+      // as (0, -, -), which no timer that still matters can.
+      for (const NodeTimer& timer : timers_) {
+        put(out, timer.ready_tick > now_ ? timer.ready_tick - now_ : 0);
+        put(out, static_cast<std::uint8_t>((timer.dirty ? 1 : 0) |
+                                           (timer.pending ? 2 : 0)));
       }
+      put(out, k_none);
     }
-    out += "|q:";
     std::vector<Event> in_flight = heap_;
     std::sort(in_flight.begin(), in_flight.end(),
               [](const Event& x, const Event& y) {
@@ -253,30 +334,20 @@ class Machine {
                 return x.seq < y.seq;
               });
     for (const Event& event : in_flight) {
-      out += std::to_string(event.tick - now_);
-      out += ',';
-      out += kind_name(event.kind);
-      out += ',';
-      out += event.a;
-      out += '>';
-      out += event.b;
-      out += ',';
-      out += event.payload.has_value() ? spp::path_name(*event.payload)
-                                       : std::string("w");
-      const auto it = epoch_.find(link_of(event.a, event.b));
-      const bool fresh =
-          event.kind != Event::Kind::deliver ||
-          (it != epoch_.end() && it->second == event.epoch);
-      out += fresh ? 'f' : 's';
-      out += ';';
+      put(out, event.tick - now_);
+      put(out, static_cast<std::uint8_t>(event.kind));
+      put(out, static_cast<std::uint8_t>(fresh(event) ? 1 : 0));
+      put(out, event.a);
+      put(out, event.b);
+      put(out, event.path);
     }
     return out;
   }
 
-  /// Assembles the SimResult for this machine's current stop state. The
-  /// verdict gating is the satellite bugfix: a cutoff run (neither verdict)
-  /// reports NO final assignment and fixed_point_stable=false — mid-flight
-  /// selections must never read as a fixed point.
+  /// Assembles the SimResult for this machine's current stop state. A
+  /// cutoff run (neither verdict) reports NO final assignment and
+  /// fixed_point_stable=false — mid-flight selections must never read as a
+  /// fixed point.
   SimResult result(bool oscillating, std::uint64_t cycle_length) {
     SimResult result;
     result.scenario = options_.scenario;
@@ -291,9 +362,14 @@ class Machine {
     if (result.converged) result.convergence_tick = last_change_tick_;
     result.cutoff = !result.converged && !result.oscillating;
     if (!result.cutoff) {
-      result.final_assignment = selections_;
+      for (NodeId node = 0; node < selections_.size(); ++node) {
+        if (selections_[node] == k_none) continue;
+        result.final_assignment.emplace_hint(
+            result.final_assignment.end(), view_.names[node],
+            *view_.paths[selections_[node]].path);
+      }
       result.fixed_point_stable =
-          spp::is_stable_assignment(instance_, selections_);
+          spp::is_stable_assignment(view_.instance, result.final_assignment);
     }
     if (options_.record_trace) result.trace = std::move(trace_);
     return result;
@@ -303,40 +379,31 @@ class Machine {
   // -- schedule construction (all randomness is consumed here) --------------
 
   void schedule_scenario(util::Rng& rng) {
-    const std::vector<std::string> nodes = instance_.nodes();
-    const auto schedule = [&](std::uint64_t tick, Event::Kind kind,
-                              std::string a, std::string b = {}) {
-      Event event;
-      event.tick = tick;
-      event.kind = kind;
-      event.a = std::move(a);
-      event.b = std::move(b);
-      push(std::move(event));
+    const auto schedule = [&](std::uint64_t tick, Event::Kind kind, NodeId a,
+                              NodeId b = k_none, LinkId link = k_none) {
+      push(Event{.tick = tick, .kind = kind, .a = a, .b = b, .link = link});
       ++scheduled_remaining_;
     };
-    if (options_.scenario == "staged") {
-      const auto window = static_cast<std::int64_t>(3 * nodes.size());
-      for (const std::string& node : nodes) {
-        schedule(static_cast<std::uint64_t>(rng.uniform_int(0, window)),
-                 Event::Kind::activate, node);
-      }
-    } else {
-      for (const std::string& node : nodes) {
-        schedule(0, Event::Kind::activate, node);
-      }
+    const bool staged = options_.scenario == "staged";
+    const auto window = static_cast<std::int64_t>(3 * (view_.names.size() - 1));
+    for (NodeId node = 0; node < view_.names.size(); ++node) {
+      if (node == view_.destination) continue;
+      schedule(staged ? static_cast<std::uint64_t>(rng.uniform_int(0, window))
+                      : 0,
+               Event::Kind::activate, node);
     }
-    if (instance_.edges().empty()) return;
-    const auto& edges = instance_.edges();
-    const auto pick = edges[static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(edges.size()) - 1))];
+    if (view_.links.empty()) return;
+    const auto pick = static_cast<LinkId>(rng.uniform_int(
+        0, static_cast<std::int64_t>(view_.links.size()) - 1));
+    const View::Link& ends = view_.links[pick];
     if (options_.scenario == "link-flap") {
       const auto down = static_cast<std::uint64_t>(rng.uniform_int(4, 12));
       const auto duration = static_cast<std::uint64_t>(rng.uniform_int(3, 9));
-      schedule(down, Event::Kind::link_down, pick.first, pick.second);
-      schedule(down + duration, Event::Kind::link_up, pick.first, pick.second);
+      schedule(down, Event::Kind::link_down, ends.u, ends.v, pick);
+      schedule(down + duration, Event::Kind::link_up, ends.u, ends.v, pick);
     } else if (options_.scenario == "session-reset") {
       const auto reset = static_cast<std::uint64_t>(rng.uniform_int(4, 12));
-      schedule(reset, Event::Kind::session_reset, pick.first, pick.second);
+      schedule(reset, Event::Kind::session_reset, ends.u, ends.v, pick);
     }
   }
 
@@ -349,22 +416,11 @@ class Machine {
         trace_line(event, activate(event.a) ? "changed" : "quiet");
         break;
       case Event::Kind::deliver: {
-        const Link link = link_of(event.a, event.b);
-        if (event.epoch != epoch_[link] || down_.contains(link)) {
+        if (event.epoch != epoch_[event.link] || down_[event.link] != 0) {
           trace_line(event, "lost");
           break;
         }
-        auto& rib = rib_in_[event.b];
-        const auto it = rib.find(event.a);
-        if (it != rib.end()) {
-          rib_hash_ ^= rib_entry_hash(event.b, event.a, it->second);
-        }
-        if (event.payload.has_value()) {
-          rib[event.a] = *event.payload;
-          rib_hash_ ^= rib_entry_hash(event.b, event.a, *event.payload);
-        } else if (it != rib.end()) {
-          rib.erase(it);
-        }
+        set_rib(view_.rib_entry(event.link, event.b), event.path);
         trace_line(event, activate(event.b) ? "changed" : "quiet");
         break;
       }
@@ -379,20 +435,24 @@ class Machine {
       }
       case Event::Kind::link_down: {
         --scheduled_remaining_;
-        const Link link = link_of(event.a, event.b);
-        bump_epoch(link);  // in-flight messages on the link are lost
-        if (down_.insert(link).second) down_hash_ ^= down_entry_hash(link);
-        sever(event.a, event.b);
-        sever(event.b, event.a);
+        bump_epoch(event.link);  // in-flight messages on the link are lost
+        if (down_[event.link] == 0) {
+          down_[event.link] = 1;
+          down_hash_ ^= entry_hash('D', event.link, 0);
+        }
+        sever(event.a, event.link);
+        sever(event.b, event.link);
         trace_line(event, "down");
         break;
       }
       case Event::Kind::link_up: {
         --scheduled_remaining_;
-        const Link link = link_of(event.a, event.b);
-        if (down_.erase(link) > 0) down_hash_ ^= down_entry_hash(link);
-        reestablish(event.a, event.b);
-        reestablish(event.b, event.a);
+        if (down_[event.link] != 0) {
+          down_[event.link] = 0;
+          down_hash_ ^= entry_hash('D', event.link, 0);
+        }
+        reestablish(event.a, event.b, event.link);
+        reestablish(event.b, event.a, event.link);
         // A recovered destination link restores direct routes: re-select.
         activate(event.a);
         activate(event.b);
@@ -401,12 +461,11 @@ class Machine {
       }
       case Event::Kind::session_reset: {
         --scheduled_remaining_;
-        const Link link = link_of(event.a, event.b);
-        bump_epoch(link);  // the old session's in-flight messages are lost
-        sever(event.a, event.b);
-        sever(event.b, event.a);
-        reestablish(event.a, event.b);
-        reestablish(event.b, event.a);
+        bump_epoch(event.link);  // the old session's messages are lost
+        sever(event.a, event.link);
+        sever(event.b, event.link);
+        reestablish(event.a, event.b, event.link);
+        reestablish(event.b, event.a, event.link);
         activate(event.a);
         activate(event.b);
         trace_line(event, "reset");
@@ -415,86 +474,65 @@ class Machine {
     }
   }
 
-  /// `node` forgets everything it heard from `peer` and re-selects (a
+  /// `node` forgets everything it heard over `link` and re-selects (a
   /// selection change propagates to its other neighbours as usual).
-  void sever(const std::string& node, const std::string& peer) {
-    if (node == instance_.destination()) return;
-    const auto rib = rib_in_.find(node);
-    if (rib != rib_in_.end()) {
-      const auto it = rib->second.find(peer);
-      if (it != rib->second.end()) {
-        rib_hash_ ^= rib_entry_hash(node, peer, it->second);
-        rib->second.erase(it);
-      }
-    }
+  void sever(NodeId node, LinkId link) {
+    if (node == view_.destination) return;
+    set_rib(view_.rib_entry(link, node), k_none);
     activate(node);
+  }
+
+  /// Sets one adj-rib-in entry (k_none = empty), keeping its hash in step.
+  void set_rib(std::uint32_t entry, PathId path) {
+    PathId& heard = rib_[entry];
+    if (heard != k_none) rib_hash_ ^= entry_hash('R', entry, heard);
+    heard = path;
+    if (heard != k_none) rib_hash_ ^= entry_hash('R', entry, heard);
   }
 
   /// A fresh session towards `peer`: `node` re-sends its current selection
   /// (or an explicit withdrawal) so the peer's adj-rib-in repopulates —
   /// subject to the suppression policy like any other advertisement.
-  void reestablish(const std::string& node, const std::string& peer) {
-    if (node == instance_.destination() || peer == instance_.destination()) {
-      return;
-    }
-    send_policy(node, peer, current_selection(node));
+  void reestablish(NodeId node, NodeId peer, LinkId link) {
+    if (node == view_.destination || peer == view_.destination) return;
+    send_policy(node, peer, link, selections_[node]);
   }
 
   /// Re-runs the selection rule at `node`; on a change, records it and
   /// advertises (directly or behind the MRAI timer). Returns true when the
   /// selection changed.
-  bool activate(const std::string& node) {
-    if (node == instance_.destination()) return false;
-    const std::optional<Path> best = select(node);
-    const auto it = selections_.find(node);
-    const bool had = it != selections_.end();
-    if (best.has_value() == had &&
-        (!best.has_value() || *best == it->second)) {
-      return false;
-    }
-    if (had) sel_hash_ ^= sel_entry_hash(node, it->second);
-    if (best.has_value()) {
-      sel_hash_ ^= sel_entry_hash(node, *best);
-      selections_[node] = *best;
-    } else {
-      selections_.erase(it);
-    }
+  bool activate(NodeId node) {
+    if (node == view_.destination) return false;
+    const PathId best = select(node);
+    PathId& current = selections_[node];
+    if (best == current) return false;
+    if (current != k_none) sel_hash_ ^= entry_hash('S', node, current);
+    if (best != k_none) sel_hash_ ^= entry_hash('S', node, best);
+    current = best;
     ++route_changes_;
     last_change_tick_ = now_;
     advertise(node);
     return true;
   }
 
-  /// The SPVP selection rule over the node's adj-rib-in. With every
-  /// incident link up this is exactly spp::best_consistent_choice applied
-  /// to the advertised view; link churn only adds a filter dropping
-  /// candidates whose first hop crosses a currently-down link.
-  std::optional<Path> select(const std::string& node) {
-    Assignment view;
-    const auto rib = rib_in_.find(node);
-    if (rib != rib_in_.end()) {
-      for (const auto& [peer, path] : rib->second) {
-        if (!down_.contains(link_of(node, peer))) view[peer] = path;
-      }
+  /// The SPVP selection rule over the node's adj-rib-in: the highest-ranked
+  /// permitted path whose first hop is up and which is direct or extends
+  /// exactly what the next hop advertised (spp::best_consistent_choice on
+  /// the advertised view, plus the down-link filter that churn needs).
+  PathId select(NodeId node) const {
+    for (const PathId candidate : view_.permitted[node]) {
+      const View::PathInfo& info = view_.paths[candidate];
+      if (down_[info.link] != 0) continue;
+      if (info.direct) return candidate;
+      const PathId heard = rib_[info.rib];
+      if (heard != k_none && heard == info.suffix) return candidate;
     }
-    if (down_.empty()) return spp::best_consistent_choice(instance_, node, view);
-    for (const Path& candidate : instance_.permitted(node)) {
-      if (down_.contains(link_of(candidate[0], candidate[1]))) continue;
-      if (candidate.size() == 2) return candidate;
-      const auto it = view.find(candidate[1]);
-      if (it == view.end()) continue;
-      if (candidate.size() != it->second.size() + 1) continue;
-      if (std::equal(candidate.begin() + 1, candidate.end(),
-                     it->second.begin())) {
-        return candidate;
-      }
-    }
-    return std::nullopt;
+    return k_none;
   }
 
   /// Propagates a selection change: immediately under triggered updates,
   /// batched behind the per-node timer inside an MRAI window.
-  void advertise(const std::string& node) {
+  void advertise(NodeId node) {
     if (options_.mrai_ticks == 0) {
       flush(node);
       return;
@@ -507,26 +545,20 @@ class Machine {
     timer.dirty = true;
     if (!timer.pending) {
       timer.pending = true;
-      Event event;
-      event.tick = timer.ready_tick;
-      event.kind = Event::Kind::timer;
-      event.a = node;
-      push(std::move(event));
+      push(Event{
+          .tick = timer.ready_tick, .kind = Event::Kind::timer, .a = node});
     }
     retime(node);
   }
 
   /// Sends the node's current selection to every neighbour over an up link
   /// (subject to the suppression policy) and opens the next MRAI window.
-  void flush(const std::string& node) {
-    const std::optional<Path> selection = current_selection(node);
-    const auto adj = adjacency_.find(node);
-    if (adj != adjacency_.end()) {
-      for (const std::string& peer : adj->second) {
-        if (peer == instance_.destination()) continue;
-        if (down_.contains(link_of(node, peer))) continue;
-        send_policy(node, peer, selection);
-      }
+  void flush(NodeId node) {
+    const PathId selection = selections_[node];
+    for (const View::Adjacent& adjacent : view_.adjacency[node]) {
+      if (adjacent.peer == view_.destination) continue;
+      if (down_[adjacent.link] != 0) continue;
+      send_policy(node, adjacent.peer, adjacent.link, selection);
     }
     if (options_.mrai_ticks > 0) {
       NodeTimer& timer = timers_[node];
@@ -539,31 +571,21 @@ class Machine {
   /// One advertisement under the suppression policy: towards the selected
   /// path's next hop, split-horizon sends nothing and poisoned-reverse
   /// sends an explicit withdrawal; everyone else gets the selection.
-  void send_policy(const std::string& from, const std::string& to,
-                   const std::optional<Path>& selection) {
-    const bool toward_next_hop = selection.has_value() &&
-                                 selection->size() >= 2 &&
-                                 (*selection)[1] == to;
+  void send_policy(NodeId from, NodeId to, LinkId link, PathId selection) {
+    const bool toward_next_hop =
+        selection != k_none && view_.paths[selection].next_hop == to;
     if (toward_next_hop && suppression_ == Suppression::split_horizon) return;
     if (toward_next_hop && suppression_ == Suppression::poisoned_reverse) {
-      send(from, to, std::nullopt);
-      return;
+      selection = k_none;
     }
-    send(from, to, selection);
-  }
-
-  void send(const std::string& from, const std::string& to,
-            std::optional<Path> payload) {
-    const Link link = link_of(from, to);
-    push(Event{now_ + delay_.at(link), 0, Event::Kind::deliver, from, to,
-               std::move(payload), epoch_[link]});
+    push(Event{.tick = now_ + delay_[link],
+               .epoch = epoch_[link],
+               .kind = Event::Kind::deliver,
+               .a = from,
+               .b = to,
+               .path = selection,
+               .link = link});
     ++messages_;
-  }
-
-  std::optional<Path> current_selection(const std::string& node) const {
-    const auto it = selections_.find(node);
-    if (it == selections_.end()) return std::nullopt;
-    return it->second;
   }
 
   // -- queue (binary heap over a visible vector, so epoch bumps can retag
@@ -572,13 +594,13 @@ class Machine {
   void push(Event event) {
     event.seq = next_seq_++;
     queue_sum_ += event_term(event);
-    heap_.push_back(std::move(event));
+    heap_.push_back(event);
     std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
   }
 
   Event pop() {
     std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
-    Event event = std::move(heap_.back());
+    const Event event = heap_.back();
     heap_.pop_back();
     queue_sum_ -= event_term(event);
     return event;
@@ -587,68 +609,38 @@ class Machine {
   /// Loses every in-flight message on `link`: the epoch bump flips their
   /// canonical freshness flag, so their queue-hash terms are swapped out
   /// under the old epoch and back in under the new one.
-  void bump_epoch(const Link& link) {
+  void bump_epoch(LinkId link) {
     for (const Event& event : heap_) {
-      if (event.kind == Event::Kind::deliver &&
-          link_of(event.a, event.b) == link) {
+      if (event.kind == Event::Kind::deliver && event.link == link) {
         queue_sum_ -= event_term(event);
       }
     }
     ++epoch_[link];
     for (const Event& event : heap_) {
-      if (event.kind == Event::Kind::deliver &&
-          link_of(event.a, event.b) == link) {
+      if (event.kind == Event::Kind::deliver && event.link == link) {
         queue_sum_ += event_term(event);
       }
     }
   }
 
+  /// A delivery is fresh while its link's epoch is the one it was sent in.
+  bool fresh(const Event& event) const {
+    return event.kind != Event::Kind::deliver ||
+           epoch_[event.link] == event.epoch;
+  }
+
   // -- per-component entry hashes -------------------------------------------
 
-  static std::uint64_t sel_entry_hash(const std::string& node,
-                                      const Path& path) {
-    std::uint64_t h = fnv_byte(k_fnv_offset, 'S');
-    h = fnv_str(h, node);
-    h = fnv_path(h, path);
-    return avalanche(h);
-  }
-
-  static std::uint64_t rib_entry_hash(const std::string& node,
-                                      const std::string& peer,
-                                      const Path& path) {
-    std::uint64_t h = fnv_byte(k_fnv_offset, 'R');
-    h = fnv_str(h, node);
-    h = fnv_str(h, peer);
-    h = fnv_path(h, path);
-    return avalanche(h);
-  }
-
-  static std::uint64_t down_entry_hash(const Link& link) {
-    std::uint64_t h = fnv_byte(k_fnv_offset, 'D');
-    h = fnv_str(h, link.first);
-    h = fnv_str(h, link.second);
-    return avalanche(h);
-  }
-
   /// Queue term: entry hash (content + the canonical freshness flag, read
-  /// from the CURRENT epoch map) weighted by R^tick. Every call site keeps
-  /// the accumulator consistent with the map: push/pop add/subtract under
-  /// the epoch map of that moment, and bump_epoch retags affected events.
+  /// from the CURRENT epochs) weighted by R^tick. Every call site keeps
+  /// the accumulator consistent with the epochs: push/pop add/subtract
+  /// under the epochs of that moment, and bump_epoch retags affected
+  /// events.
   std::uint64_t event_term(const Event& event) const {
-    std::uint64_t h = fnv_byte(k_fnv_offset, 'Q');
-    h = fnv_byte(h, static_cast<unsigned char>(event.kind));
-    h = fnv_str(h, event.a);
-    h = fnv_str(h, event.b);
-    if (event.payload.has_value()) {
-      h = fnv_path(h, *event.payload);
-    } else {
-      h = fnv_byte(h, 'w');
-    }
-    const auto it = epoch_.find(link_of(event.a, event.b));
-    const bool fresh = event.kind != Event::Kind::deliver ||
-                       (it != epoch_.end() && it->second == event.epoch);
-    h = fnv_byte(h, fresh ? 'f' : 's');
-    return avalanche(h) * pow_u64(k_time_base, event.tick);
+    const std::uint32_t tag =
+        (static_cast<std::uint32_t>(event.kind) << 1) | (fresh(event) ? 1 : 0);
+    return entry_hash('Q', tag, event.a, event.b, event.path) *
+           pow_u64(k_time_base, event.tick);
   }
 
   // -- MRAI timer hashing ----------------------------------------------------
@@ -660,26 +652,23 @@ class Machine {
     std::uint64_t contrib = 0;     // this entry's current timer_sum_ term
   };
 
-  /// A timer entry's term, mirroring the canonical renderer's visibility
+  /// A timer entry's term, mirroring the canonical encoder's visibility
   /// rule: entries that are neither pending nor dirty and whose window has
   /// lapsed contribute nothing. Visible entries always have
   /// ready_tick >= now_, so the R^ready_tick weighting rescales to the
-  /// rendered offset exactly.
-  std::uint64_t timer_term(const std::string& node,
-                           const NodeTimer& timer) const {
+  /// encoded offset exactly.
+  std::uint64_t timer_term(NodeId node, const NodeTimer& timer) const {
     if (!timer.pending && !timer.dirty && timer.ready_tick <= now_) return 0;
-    std::uint64_t h = fnv_byte(k_fnv_offset, 'T');
-    h = fnv_str(h, node);
-    h = fnv_byte(h, timer.dirty ? 'd' : '-');
-    h = fnv_byte(h, timer.pending ? 'p' : '-');
-    return avalanche(h) * pow_u64(k_time_base, timer.ready_tick);
+    return entry_hash('T', node,
+                      (timer.dirty ? 1u : 0u) | (timer.pending ? 2u : 0u)) *
+           pow_u64(k_time_base, timer.ready_tick);
   }
 
   /// Recomputes `node`'s timer contribution after any mutation (idempotent:
   /// the stored contribution is subtracted first). Entries that can lapse
   /// silently — open window, nothing pending or dirty — are queued for lazy
   /// expiry so time passing alone cannot leave a stale term behind.
-  void retime(const std::string& node) {
+  void retime(NodeId node) {
     NodeTimer& timer = timers_[node];
     timer_sum_ -= timer.contrib;
     timer.contrib = timer_term(node, timer);
@@ -693,9 +682,9 @@ class Machine {
   /// them (retime is idempotent, so stale expiry entries are harmless).
   void drain_expired_timers() {
     while (!timer_expiry_.empty() && timer_expiry_.top().first <= now_) {
-      const std::string node = timer_expiry_.top().second;
+      const NodeId node = timer_expiry_.top().second;
       timer_expiry_.pop();
-      if (timers_.find(node) != timers_.end()) retime(node);
+      retime(node);
     }
   }
 
@@ -707,15 +696,16 @@ class Machine {
     line += ' ';
     line += kind_name(event.kind);
     line += ' ';
-    line += event.a;
-    if (!event.b.empty()) {
+    line += view_.names[event.a];
+    if (event.b != k_none) {
       line += '>';
-      line += event.b;
+      line += view_.names[event.b];
     }
     if (event.kind == Event::Kind::deliver) {
       line += ' ';
-      line += event.payload.has_value() ? spp::path_name(*event.payload)
-                                        : std::string("withdraw");
+      line += event.path != k_none
+                  ? spp::path_name(*view_.paths[event.path].path)
+                  : std::string("withdraw");
     }
     line += ' ';
     line += note;
@@ -724,18 +714,17 @@ class Machine {
 
   // -- state -----------------------------------------------------------------
 
-  const SppInstance& instance_;
+  const View& view_;
   const SimOptions& options_;
   const Suppression suppression_;
 
-  std::map<std::string, std::vector<std::string>> adjacency_;
-  std::map<Link, std::uint64_t> delay_;
-  std::map<Link, std::uint64_t> epoch_;
-  std::set<Link> down_;
+  std::vector<std::uint64_t> delay_;  // per link
+  std::vector<std::uint64_t> epoch_;  // per link
+  std::vector<char> down_;            // per link: 1 while down
 
-  Assignment selections_;
-  std::map<std::string, std::map<std::string, Path>> rib_in_;
-  std::map<std::string, NodeTimer> timers_;
+  std::vector<PathId> selections_;  // per node (k_none = no route)
+  std::vector<PathId> rib_;         // adj-rib-in entries (View::Link)
+  std::vector<NodeTimer> timers_;   // per node
 
   std::vector<Event> heap_;  // binary heap under EventAfter
   std::uint64_t next_seq_ = 0;
@@ -753,8 +742,8 @@ class Machine {
   std::uint64_t down_hash_ = 0;
   std::uint64_t timer_sum_ = 0;
   std::uint64_t queue_sum_ = 0;
-  std::priority_queue<std::pair<std::uint64_t, std::string>,
-                      std::vector<std::pair<std::uint64_t, std::string>>,
+  std::priority_queue<std::pair<std::uint64_t, NodeId>,
+                      std::vector<std::pair<std::uint64_t, NodeId>>,
                       std::greater<>>
       timer_expiry_;
 };
@@ -764,9 +753,8 @@ class Machine {
 /// The PR-8 detector: canonicalise the full state after every post-churn
 /// step, report the first repeat. O(steps x state-size) time and memory;
 /// kept for the differential suite and the bench_sim ablation.
-SimResult run_canonical(const SppInstance& instance,
-                        const SimOptions& options) {
-  Machine machine(instance, options);
+SimResult run_canonical(const View& view, const SimOptions& options) {
+  Machine machine(view, options);
   // step -> canonical state, populated once the churn schedule is done;
   // an exact repeat proves the run cycles forever.
   std::unordered_map<std::string, std::uint64_t> seen_states;
@@ -784,22 +772,21 @@ SimResult run_canonical(const SppInstance& instance,
 }
 
 /// The incremental detector: Brent's cycle detection over the post-churn
-/// state-hash sequence, O(1) hashing work per step. The canonical string is
-/// rendered only at Brent teleports and on hash matches; a match whose
-/// canonical strings differ is a collision (counted, never believed). The
+/// state-hash sequence, O(1) hashing work per step. The canonical state is
+/// encoded only at Brent teleports and on hash matches; a match whose
+/// canonical encodings differ is a collision (counted, never believed). The
 /// order-free queue sum cannot see the order of same-tick deliveries, so
 /// states that differ only there hash equal and collide. The pass appends
 /// each post-churn hash to a log (8 bytes per step — against the canonical
-/// detector's full state string per step) so that once the minimal period
+/// detector's full state encoding per step) so that once the minimal period
 /// lambda is confirmed, the first repeat can be located by scanning the
 /// log: two replicas, lambda states apart, step in lockstep over the mu
 /// candidates, and the leading one stops exactly where the canonical
 /// detector stopped — so the reported SimResult (steps, ticks, message
 /// counts, stop state) is byte-identical to the canonical detector's.
-SimResult run_incremental(const SppInstance& instance,
-                          const SimOptions& options,
+SimResult run_incremental(const View& view, const SimOptions& options,
                           std::uint64_t& collisions) {
-  Machine machine(instance, options);
+  Machine machine(view, options);
   std::vector<std::uint64_t> hashes;  // post-churn hash log, in step order
   bool have_tortoise = false;
   std::uint64_t tortoise_hash = 0;
@@ -843,7 +830,7 @@ SimResult run_incremental(const SppInstance& instance,
   // covers the true mu and mu + lambda). Two replicas walk the candidates
   // in lockstep: the tortoise stands on the k-th post-churn state and the
   // hare lambda states further, so each candidate costs one step per
-  // replica and one pair of canonical renders. On a genuine repeat the
+  // replica and one pair of canonical encodings. On a genuine repeat the
   // hare stands exactly where the canonical detector stopped, and its
   // counters ARE the result. A rejected candidate (collision) is counted
   // and both replicas step on.
@@ -857,7 +844,7 @@ SimResult run_incremental(const SppInstance& instance,
   std::size_t k = 0;
   while (k + lam_v < hashes.size() && hashes[k] != hashes[k + lam_v]) ++k;
   if (k + lam_v < hashes.size()) {
-    Machine tortoise(instance, options);
+    Machine tortoise(view, options);
     advance(tortoise, static_cast<std::uint64_t>(k) + 1);
     Machine hare = tortoise;
     advance(hare, lam_v);
@@ -928,10 +915,11 @@ SimResult simulate(const SppInstance& instance, const SimOptions& options) {
   span.arg("instance", instance.name());
   span.arg("scenario", options.scenario);
 
+  const View view(instance);
   std::uint64_t collisions = 0;
   SimResult result = options.detector == "canonical"
-                         ? run_canonical(instance, options)
-                         : run_incremental(instance, options, collisions);
+                         ? run_canonical(view, options)
+                         : run_incremental(view, options, collisions);
 
   // Per-run registry flush (boundary counting, per obs/metrics.h): one
   // relaxed add per instrument per run, never per event.

@@ -16,6 +16,13 @@
 // wall clock or thread identity ever enters the state. Same instance + same
 // options => the same event trace, byte for byte, at any --threads value.
 //
+// The machine runs on ids: simulate() interns the instance once (node ids
+// in sorted-name order, links in edges() order, permitted paths by content)
+// into a view that every replica shares, and names return only when the
+// SimResult and the trace lines are assembled. Because the id orders are
+// the name orders, the ids change no neighbour order, RNG draw or event
+// sequence.
+//
 // Because the post-churn system is a deterministic transition system, the
 // classic SPVP divergence question becomes decidable in the simulator:
 // oscillation is detected EXACTLY. The default detector maintains an
@@ -23,8 +30,10 @@
 // hashes for selections, adj-rib-ins, down links, MRAI timers, and the
 // in-flight queue, updated at each mutation site), runs Brent's cycle
 // detection over the post-churn hash sequence, and confirms every hash match
-// against the full canonical state string — so a hash collision can never
-// fake a cycle (rejections are counted in the sim.hash_collisions metric).
+// against the canonical state encoding — the whole state as fixed-width ids
+// with section terminators, exact whatever the node names are — so a hash
+// collision can never fake a cycle (rejections are counted in the
+// sim.hash_collisions metric).
 // The PR-8 full-canonicalisation detector is kept selectable
 // (SimOptions::detector = "canonical") for the differential suite and the
 // bench_sim ablation; the two are byte-identical on every SimResult field.

@@ -3,11 +3,18 @@
 // Gao-Rexford tables), additive algebras, and lexical products.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "algebra/additive_algebra.h"
 #include "algebra/finite_algebra.h"
 #include "algebra/lexical_product.h"
 #include "algebra/standard_policies.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace fsr::algebra {
 namespace {
@@ -180,6 +187,108 @@ TEST(FiniteAlgebra, CyclicPreferencesDetected) {
   EXPECT_THROW(a->compare(A("X"), A("Y")), InvalidArgument);
   // Symbolic access still works so the analyzer can diagnose the cycle.
   EXPECT_EQ(a->symbolic().preferences.size(), 2u);
+}
+
+/// The textbook per-bit Warshall over the declared preferences, written
+/// independently of FiniteAlgebra: reach[i][j] is 0 (none), 1 (weak) or 2
+/// (strict); a strict self-reach is a strict cycle.
+struct DenseClosure {
+  std::vector<std::vector<int>> reach;
+  bool consistent = true;
+
+  explicit DenseClosure(std::size_t n,
+                        const std::vector<std::tuple<std::size_t, PrefRel,
+                                                     std::size_t>>& prefs)
+      : reach(n, std::vector<int>(n, 0)) {
+    for (std::size_t i = 0; i < n; ++i) reach[i][i] = 1;
+    for (const auto& [i, rel, j] : prefs) {
+      if (rel == PrefRel::strictly_better) reach[i][j] = 2;
+      if (rel != PrefRel::strictly_better) {
+        reach[i][j] = std::max(reach[i][j], 1);
+      }
+      if (rel == PrefRel::equal) reach[j][i] = std::max(reach[j][i], 1);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          if (reach[i][k] == 0 || reach[k][j] == 0) continue;
+          reach[i][j] = std::max({reach[i][j], reach[i][k], reach[k][j]});
+        }
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) consistent &= reach[i][i] != 2;
+  }
+
+  Ordering compare(std::size_t i, std::size_t j) const {
+    if (i == j) return Ordering::equal;
+    if (reach[i][j] == 2) return Ordering::better;
+    if (reach[j][i] == 2) return Ordering::worse;
+    if (reach[i][j] == 1 && reach[j][i] == 1) return Ordering::equal;
+    if (reach[i][j] == 1) return Ordering::better;
+    if (reach[j][i] == 1) return Ordering::worse;
+    return Ordering::incomparable;
+  }
+};
+
+TEST(FiniteAlgebra, BitsetClosureMatchesADenseWarshall) {
+  // Seeded random preference graphs of 2..150 signatures (rows of one to
+  // three 64-bit words): mostly rank-respecting strict and weak edges,
+  // equal classes, and now and then a backward edge that may close a
+  // strict cycle. compare() on every pair and has_consistent_preferences()
+  // must agree with the dense reference.
+  util::Rng rng(20111);
+  int consistent = 0;
+  int cyclic = 0;
+  for (int graph = 0; graph < 60; ++graph) {
+    const auto n = static_cast<std::size_t>(rng.uniform_int(2, 150));
+    FiniteAlgebra::Builder b("random-" + std::to_string(graph));
+    std::vector<std::string> sigs;
+    for (std::size_t i = 0; i < n; ++i) {
+      char name[24];
+      std::snprintf(name, sizeof name, "s%03zu", i);  // index = name order
+      sigs.emplace_back(name);
+      b.add_signature(name);
+    }
+    b.add_label("l", "l");
+    std::vector<std::tuple<std::size_t, PrefRel, std::size_t>> prefs;
+    const std::int64_t edges =
+        rng.uniform_int(0, 2 * static_cast<std::int64_t>(n));
+    const bool allow_back = rng.chance(0.5);
+    for (std::int64_t e = 0; e < edges; ++e) {
+      auto i = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+      auto j = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+      if (i > j && !(allow_back && rng.chance(0.05))) std::swap(i, j);
+      const std::int64_t kind = rng.uniform_int(0, 9);
+      const PrefRel rel = kind < 5   ? PrefRel::strictly_better
+                          : kind < 8 ? PrefRel::better_or_equal
+                                     : PrefRel::equal;
+      prefs.emplace_back(i, rel, j);
+      b.prefer(sigs[i], rel, sigs[j]);
+    }
+    const AlgebraPtr a = b.build();
+    const auto* finite = dynamic_cast<const FiniteAlgebra*>(a.get());
+    ASSERT_NE(finite, nullptr);
+    const DenseClosure reference(n, prefs);
+    ASSERT_EQ(finite->has_consistent_preferences(), reference.consistent)
+        << "graph " << graph;
+    if (!reference.consistent) {
+      ++cyclic;
+      EXPECT_THROW(a->compare(A(sigs[0].c_str()), A(sigs[1].c_str())),
+                   InvalidArgument);
+      continue;
+    }
+    ++consistent;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(a->compare(A(sigs[i].c_str()), A(sigs[j].c_str())),
+                  reference.compare(i, j))
+            << "graph " << graph << ": " << sigs[i] << " vs " << sigs[j];
+      }
+    }
+  }
+  // The sweep covers both sides of the consistency check.
+  EXPECT_GT(consistent, 10);
+  EXPECT_GT(cyclic, 3);
 }
 
 TEST(FiniteAlgebra, EqualViaMutualWeakConstraints) {

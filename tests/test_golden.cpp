@@ -44,13 +44,11 @@
 namespace fsr::repair {
 namespace {
 
-bool updating() { return std::getenv("FSR_UPDATE_GOLDEN") != nullptr; }
-
 /// Writes `rendered` to tests/golden/`file` under FSR_UPDATE_GOLDEN, and
 /// otherwise compares it byte for byte with the snapshot.
 void check_snapshot(const std::string& file, const std::string& rendered) {
   const std::string path = std::string(FSR_GOLDEN_DIR) + "/" + file;
-  if (updating()) {
+  if (std::getenv("FSR_UPDATE_GOLDEN") != nullptr) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
     out << rendered;

@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "spp/gadgets.h"
+#include "spp/random_instance.h"
 #include "spp/spp.h"
 #include "topology/rocketfuel.h"
 #include "util/error.h"
@@ -234,6 +235,25 @@ TEST(Sim, CutoffRunsCarryNoFixedPoint) {
   ASSERT_TRUE(quiesced.converged);
   EXPECT_FALSE(quiesced.cutoff);
   EXPECT_FALSE(quiesced.final_assignment.empty());
+}
+
+TEST(Sim, RandomInstanceHitsTheStepCutoff) {
+  // {"kind": "simulate", "random": {"seed": 101}, "seed": 1}: a 3-node
+  // instance whose steady run neither quiesces nor repeats a state within
+  // the default 100,000-step budget. The wire renders exactly this cutoff.
+  const spp::SppInstance instance =
+      spp::random_spp_instance("random-101", 101, spp::RandomSppSweep{});
+  ASSERT_EQ(instance.nodes().size(), 3u);
+  const SimResult run = simulate(instance, SimOptions{});
+  EXPECT_TRUE(run.cutoff);
+  EXPECT_FALSE(run.converged);
+  EXPECT_FALSE(run.oscillating);
+  EXPECT_EQ(run.steps, 100000u);
+  EXPECT_EQ(run.ticks, 320u);
+  EXPECT_EQ(run.messages, 101146u);
+  EXPECT_EQ(run.route_changes, 50573u);
+  EXPECT_TRUE(run.final_assignment.empty());
+  EXPECT_FALSE(run.fixed_point_stable);
 }
 
 // -------------------------------------------------------------- suppression --
