@@ -1,5 +1,6 @@
 #include "api/request.h"
 
+#include "obs/trace.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -121,27 +122,40 @@ void validate(const Request& request) {
 
 namespace {
 
+/// The one payload canonicalisation: the SPP instance when the request
+/// carries one, else the algebra with its topology when present. Safe on
+/// malformed shapes, so an invalid request still has a content identity
+/// to key by.
+std::string payload_canonical(const spp::SppInstance* instance,
+                              const algebra::RoutingAlgebra* algebra,
+                              const topology::Topology* topology) {
+  if (instance != nullptr) return spp::canonical_spp(*instance);
+  if (algebra == nullptr) return std::string();
+  std::string out = "alg|" + algebra->name() + "|" +
+                    algebra::canonical_spec(algebra->symbolic());
+  if (topology != nullptr) {
+    out += "|topo|" + topology::canonical_topology(*topology);
+  }
+  return out;
+}
+
 std::string payload_canonical(const Request& request) {
   struct Visitor {
     std::string operator()(const AnalyzeSafetyRequest& req) const {
-      if (req.spp != nullptr) return spp::canonical_spp(*req.spp);
-      return "alg|" + req.algebra->name() + "|" +
-             algebra::canonical_spec(req.algebra->symbolic());
+      return payload_canonical(req.spp.get(), req.algebra.get(), nullptr);
     }
     std::string operator()(const GroundTruthRequest& req) const {
-      return spp::canonical_spp(*req.spp);
+      return payload_canonical(req.spp.get(), nullptr, nullptr);
     }
     std::string operator()(const RepairRequest& req) const {
-      return spp::canonical_spp(*req.spp);
+      return payload_canonical(req.spp.get(), nullptr, nullptr);
     }
     std::string operator()(const EmulateRequest& req) const {
-      if (req.spp != nullptr) return spp::canonical_spp(*req.spp);
-      return "alg|" + req.algebra->name() + "|" +
-             algebra::canonical_spec(req.algebra->symbolic()) + "|topo|" +
-             topology::canonical_topology(*req.topology);
+      return payload_canonical(req.spp.get(), req.algebra.get(),
+                               req.topology.get());
     }
     std::string operator()(const SimulateRequest& req) const {
-      return spp::canonical_spp(*req.spp);
+      return payload_canonical(req.spp.get(), nullptr, nullptr);
     }
     std::string operator()(const StatsRequest&) const { return std::string(); }
     std::string operator()(const DebugRequest&) const { return std::string(); }
@@ -151,15 +165,33 @@ std::string payload_canonical(const Request& request) {
 
 }  // namespace
 
-std::string fingerprint(const Request& request) {
-  validate(request);
+CompiledRequest compile(Request request) {
+  static obs::Counter& compilations =
+      obs::registry().counter("api.compilations");
+  compilations.add(1);
+  obs::Span span("api.compile");
+  CompiledRequest compiled;
+  compiled.request_ = std::move(request);
+  try {
+    // Canonical first: an invalid request keeps the identity of whatever
+    // payload it does carry, and the error is validate()'s message.
+    compiled.canonical_ = payload_canonical(compiled.request_);
+    validate(compiled.request_);
+  } catch (const std::exception& error) {
+    compiled.error_ = error.what();
+  }
   // Stats and debug requests carry no payload: an empty fingerprint keeps
   // them away from the session cache (nothing to warm, nothing to evict).
-  if (std::holds_alternative<StatsRequest>(request) ||
-      std::holds_alternative<DebugRequest>(request)) {
-    return std::string();
+  if (compiled.error_.empty() && !compiled.canonical_.empty()) {
+    compiled.fingerprint_ = util::content_digest(compiled.canonical_);
   }
-  return util::content_digest(payload_canonical(request));
+  return compiled;
+}
+
+std::string fingerprint(const Request& request) {
+  CompiledRequest compiled = compile(request);
+  if (!compiled.error().empty()) throw InvalidArgument(compiled.error());
+  return compiled.fingerprint();
 }
 
 }  // namespace fsr::api

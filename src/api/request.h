@@ -134,12 +134,49 @@ RequestKind kind_of(const Request& request) noexcept;
 /// error Response; callers may validate early for fail-fast behaviour).
 void validate(const Request& request);
 
-/// 16-hex content digest of the request's payload — kind-free and
-/// seed-free, so a ground-truth request and a repair request over the same
-/// instance share one fingerprint and hence one warm session-cache entry.
-/// Built from the canonical forms beside each payload type
-/// (spp::canonical_spp, algebra::canonical_spec,
-/// topology::canonical_topology) and util::content_digest.
+/// A request compiled once: the request, its canonical payload text, its
+/// content fingerprint and its validation error, computed together by
+/// compile() — the one place in the serving path where validate(), the
+/// payload canonicalisation and util::content_digest run. Only compile()
+/// constructs one, so the identity always matches the content. The
+/// service's queue, its session cache and the campaign's cache key all
+/// read these values instead of recomputing them.
+class CompiledRequest {
+ public:
+  const Request& request() const noexcept { return request_; }
+  /// Canonical text of the payload the request carries, whether or not
+  /// the request is valid: spp::canonical_spp for an SPP instance, else
+  /// "alg|<name>|" + algebra::canonical_spec, plus "|topo|" +
+  /// topology::canonical_topology when a topology rides along. Empty when
+  /// the request carries no payload (stats, debug, or a missing one).
+  const std::string& canonical() const noexcept { return canonical_; }
+  /// 16-hex util::content_digest of canonical(): kind-free and seed-free,
+  /// so a ground-truth request and a repair request over the same
+  /// instance share one fingerprint and hence one warm session-cache
+  /// entry. Empty for stats and debug requests (nothing to cache) and for
+  /// invalid requests (they route by the empty string).
+  const std::string& fingerprint() const noexcept { return fingerprint_; }
+  /// validate()'s message when the request is malformed, else empty. The
+  /// service answers such a request with exactly this error text.
+  const std::string& error() const noexcept { return error_; }
+
+ private:
+  friend CompiledRequest compile(Request request);
+  CompiledRequest() = default;
+
+  Request request_;
+  std::string canonical_;
+  std::string fingerprint_;
+  std::string error_;
+};
+
+/// Validates, canonicalises and fingerprints `request` once (counted in
+/// the "api.compilations" registry counter, timed by the "api.compile"
+/// span). Never throws on a malformed request: the error is recorded.
+CompiledRequest compile(Request request);
+
+/// compile(request).fingerprint(), throwing fsr::InvalidArgument with the
+/// validation error when the request is malformed.
 std::string fingerprint(const Request& request);
 
 /// Lifetime counters of one AnalysisService (deltas since construction,

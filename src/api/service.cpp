@@ -90,20 +90,16 @@ AnalysisService::~AnalysisService() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::uint64_t AnalysisService::enqueue(Request request,
+std::uint64_t AnalysisService::enqueue(CompiledRequest request,
                                        std::function<void(Response)> deliver) {
+  // A malformed request's error surfaces as its response's error field
+  // (from execute(), where the bytes are defined), not here; its empty
+  // fingerprint routes it deterministically.
   Job job;
-  job.request = std::move(request);
+  job.request = request.request();
+  job.fingerprint = request.fingerprint();
+  job.error = request.error();
   job.deliver = std::move(deliver);
-  // Routing fingerprint. fingerprint() validates first and throws on a bad
-  // payload; the error must surface as the response's error field (from
-  // execute(), where the bytes are defined), not here — so an unfingerprintable
-  // request just routes by the empty string, deterministically.
-  try {
-    job.fingerprint = fingerprint(job.request);
-  } catch (const std::exception&) {
-    job.fingerprint.clear();
-  }
   std::uint64_t id = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -129,13 +125,18 @@ std::future<Response> AnalysisService::submit(Request request) {
   // shared_ptr the deliver closure can own.
   auto promise = std::make_shared<std::promise<Response>>();
   std::future<Response> future = promise->get_future();
-  enqueue(std::move(request), [promise](Response response) {
+  enqueue(compile(std::move(request)), [promise](Response response) {
     promise->set_value(std::move(response));
   });
   return future;
 }
 
 std::uint64_t AnalysisService::submit(Request request,
+                                      std::function<void(Response)> on_complete) {
+  return enqueue(compile(std::move(request)), std::move(on_complete));
+}
+
+std::uint64_t AnalysisService::submit(CompiledRequest request,
                                       std::function<void(Response)> on_complete) {
   return enqueue(std::move(request), std::move(on_complete));
 }
@@ -191,7 +192,7 @@ void AnalysisService::worker_loop(std::size_t worker) {
       job = std::move(queue.front());
       queue.pop_front();
     }
-    Response response = execute(job.id, job.request, cache, worker);
+    Response response = execute(job, cache, worker);
     completed_counter_.add(1);
     if (!response.error.empty()) errors_counter_.add(1);
     if (response.warm_session) {
@@ -209,11 +210,14 @@ void AnalysisService::worker_loop(std::size_t worker) {
   }
 }
 
-Response AnalysisService::execute(std::uint64_t id, const Request& request,
-                                  SessionCache& cache, std::size_t worker) {
+Response AnalysisService::execute(const Job& job, SessionCache& cache,
+                                  std::size_t worker) {
+  const std::uint64_t id = job.id;
+  const Request& request = job.request;
   Response response;
   response.id = id;
   response.kind = kind_of(request);
+  response.fingerprint = job.fingerprint;
   // Execution provenance (timings-gated on the wire, like wall_ms): WHICH
   // worker served the request. Never part of the deterministic bytes.
   response.shard = static_cast<int>(worker);
@@ -224,8 +228,8 @@ Response AnalysisService::execute(std::uint64_t id, const Request& request,
                     to_string(response.kind), id);
   const auto start = std::chrono::steady_clock::now();
   try {
-    validate(request);
-    response.fingerprint = fingerprint(request);
+    // Compiled at submission: the stored error is validate()'s message.
+    if (!job.error.empty()) throw InvalidArgument(job.error);
 
     if (const auto* req = std::get_if<AnalyzeSafetyRequest>(&request)) {
       // Safety analysis stays on the stateless analyzer: its reports embed
@@ -271,16 +275,22 @@ Response AnalysisService::execute(std::uint64_t id, const Request& request,
       }
     } else if (const auto* req = std::get_if<RepairRequest>(&request)) {
       SessionCache::Entry* entry = cache.ensure(response.fingerprint, req->spp);
+      repair::RepairSessions sessions;
+      // A cold gate translates the instance once and lends that spec to
+      // the search for this run; it is not kept in the entry (a Rocketfuel
+      // spec is tens of kilobytes of strings), so a warm run's search
+      // translates on its own.
+      std::optional<algebra::SymbolicSpec> spec;
       const bool gate_warm = entry->strict_gate.has_value();
       if (!gate_warm) {
+        spec.emplace(spp::algebra_from_spp(*entry->instance)->symbolic());
         IncrementalSafetySession::Options gate_options;
         gate_options.extract_models = false;  // gates branch on holds/core
-        entry->strict_gate.emplace(
-            spp::algebra_from_spp(*entry->instance)->symbolic(),
-            MonotonicityMode::strict, gate_options);
+        entry->strict_gate.emplace(*spec, MonotonicityMode::strict,
+                                   gate_options);
         sessions_built_counter_.add(1);
+        sessions.spec = &*spec;
       }
-      repair::RepairSessions sessions;
       sessions.strict_gate = &*entry->strict_gate;
       bool oracle_warm = true;
       if (options_.repair.ground_truth == groundtruth::Mode::sat_search &&

@@ -122,6 +122,10 @@ class AnalysisService {
   /// wake-up, not work). Returns the request's dense submission id.
   std::uint64_t submit(Request request,
                        std::function<void(Response)> on_complete);
+  /// The same, for a request the caller already compiled (the campaign
+  /// keys its cache from the compiled canonical text, then submits it).
+  std::uint64_t submit(CompiledRequest request,
+                       std::function<void(Response)> on_complete);
 
   /// Submits the batch and waits for all of it; responses come back in
   /// submission (id) order regardless of which workers answered.
@@ -152,19 +156,21 @@ class AnalysisService {
  private:
   struct Job {
     std::uint64_t id = 0;
+    /// The compiled request's request, fingerprint and validation error.
+    /// Its canonical text is not kept: a queued job holds only the digest.
     Request request;
     /// Routing fingerprint (empty for stats/debug and invalid payloads).
     std::string fingerprint;
+    std::string error;
     /// Fulfils the caller: a promise-setter for future submits, the raw
     /// callback for hook submits.
     std::function<void(Response)> deliver;
   };
 
-  std::uint64_t enqueue(Request request,
+  std::uint64_t enqueue(CompiledRequest request,
                         std::function<void(Response)> deliver);
   void worker_loop(std::size_t worker);
-  Response execute(std::uint64_t id, const Request& request,
-                   SessionCache& cache, std::size_t worker);
+  Response execute(const Job& job, SessionCache& cache, std::size_t worker);
 
   ServiceOptions options_;
   ShardRouter router_;

@@ -21,6 +21,22 @@ CacheMetrics& cache_metrics() {
   return metrics;
 }
 
+/// Content equality of two instances, as spp::canonical_spp sees it (the
+/// name is not content), without rendering either: the same object, or
+/// the same destination, edges in order and ranked permitted paths.
+bool same_content(const spp::SppInstance& a, const spp::SppInstance& b) {
+  if (&a == &b) return true;
+  if (a.destination() != b.destination() || a.edges() != b.edges()) {
+    return false;
+  }
+  const std::vector<std::string> nodes = a.nodes();
+  if (nodes != b.nodes()) return false;
+  for (const std::string& node : nodes) {
+    if (a.permitted(node) != b.permitted(node)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 SessionCache::Entry* SessionCache::ensure(
@@ -36,12 +52,22 @@ SessionCache::Entry* SessionCache::ensure(
     return &*scratch_;
   }
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->fingerprint == fingerprint) {
+    if (it->fingerprint != fingerprint) continue;
+    entries_.splice(entries_.begin(), entries_, it);  // bump to MRU
+    Entry& entry = entries_.front();
+    if (same_content(*entry.instance, *instance)) {
       ++hits_;
       metrics.hits.add(1);
-      entries_.splice(entries_.begin(), entries_, it);  // bump to MRU
-      return &entries_.front();
+      return &entry;
     }
+    // A digest collision: the entry's sessions belong to other content,
+    // so this is a miss that starts the entry over for this instance.
+    ++misses_;
+    metrics.misses.add(1);
+    entry.instance = instance;
+    entry.strict_gate.reset();
+    entry.oracle.reset();
+    return &entry;
   }
   ++misses_;
   metrics.misses.add(1);

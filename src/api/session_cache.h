@@ -2,8 +2,12 @@
 //
 // Each service worker keeps the most recently used instances' persistent
 // solver sessions alive between requests, keyed by instance fingerprint
-// (api::fingerprint — kind-free, so ground-truth and repair requests over
-// the same instance share one entry):
+// (CompiledRequest::fingerprint — kind-free, so ground-truth and repair
+// requests over the same instance share one entry). The fingerprint is a
+// 64-bit digest, so a hit also checks content: the entry's instance must
+// be the same object or have the same destination, edges and ranked
+// permitted paths. Two instances that share a fingerprint never share
+// sessions. Each entry holds:
 //
 //   * strict_gate — an IncrementalSafetySession over the instance's
 //     strict-mode encoding that is only ever asked the retraction-free
@@ -55,7 +59,9 @@ class SessionCache {
 
   /// Returns the entry for `fingerprint`, creating (and, at capacity,
   /// evicting the least recently used entry) as needed; the returned entry
-  /// becomes most recently used. With capacity 0 every call returns a
+  /// becomes most recently used. An entry under the same fingerprint but
+  /// other content (a digest collision) is a miss: it is started over for
+  /// `instance`, sessions dropped. With capacity 0 every call returns a
   /// fresh scratch entry — sessions then live exactly one request.
   /// The pointer is valid until the next ensure() call.
   Entry* ensure(const std::string& fingerprint,

@@ -19,7 +19,15 @@
 
 namespace fsr::campaign {
 
-std::string scenario_cache_key(const Scenario& scenario) {
+std::string scenario_cache_key(const Scenario& scenario,
+                               const api::CompiledRequest& primary,
+                               bool attempt_repair,
+                               const repair::RepairOptions& repair,
+                               const sim::SimOptions& sim) {
+  if (primary.canonical().empty()) {
+    throw InvalidArgument("scenario '" + scenario.id +
+                          "' carries neither an SPP instance nor an algebra");
+  }
   std::string out = to_string(scenario.kind);
   if (scenario.kind == ScenarioKind::emulation ||
       scenario.kind == ScenarioKind::simulation) {
@@ -28,24 +36,9 @@ std::string scenario_cache_key(const Scenario& scenario) {
     // verdicts do not.
     out += "|seed=" + std::to_string(scenario.seed);
   }
-  if (scenario.spp) {
-    out += "|spp|" + spp::canonical_spp(*scenario.spp);
-  } else if (scenario.algebra) {
-    out += "|alg|" + scenario.algebra->name() + "|" +
-           algebra::canonical_spec(scenario.algebra->symbolic());
-    if (scenario.topology) {
-      out += "|topo|" + topology::canonical_topology(*scenario.topology);
-    }
-  } else {
-    throw InvalidArgument("scenario '" + scenario.id +
-                          "' carries neither an SPP instance nor an algebra");
-  }
-  return out;
-}
-
-std::string scenario_cache_key(const Scenario& scenario,
-                               const sim::SimOptions& sim) {
-  std::string out = scenario_cache_key(scenario);
+  // An algebra payload's canonical text starts "alg|".
+  out += scenario.spp != nullptr ? "|spp|" : "|";
+  out += primary.canonical();
   if (scenario.kind == ScenarioKind::simulation) {
     // Every SimOptions knob that shapes a SimResult is keyed; the seed is
     // already in the base key, and the detector (plus its test-only hash
@@ -57,13 +50,6 @@ std::string scenario_cache_key(const Scenario& scenario,
            ";delay=" + std::to_string(sim.max_link_delay) +
            ";steps=" + std::to_string(sim.max_steps);
   }
-  return out;
-}
-
-std::string scenario_cache_key(const Scenario& scenario, bool attempt_repair,
-                               const repair::RepairOptions& repair,
-                               const sim::SimOptions& sim) {
-  std::string out = scenario_cache_key(scenario, sim);
   if (attempt_repair && scenario.kind == ScenarioKind::safety &&
       scenario.spp != nullptr) {
     // Repair outcomes are a pure function of the instance (the search and

@@ -4,11 +4,10 @@
 // problem (the same gadget reached from two sources, the same extracted
 // iBGP instance under two parameter settings). The cache keys outcomes by
 // a scenario's *content* — the canonical form of the SPP instance,
-// symbolic spec, or annotated topology it actually solves
-// (spp::canonical_spp, algebra::canonical_spec,
-// topology::canonical_topology), never its display name — so duplicated
-// work is solved once per campaign and reused across campaigns sharing a
-// runner.
+// symbolic spec, or annotated topology it actually solves, as its
+// compiled primary request carries it (api::CompiledRequest::canonical),
+// never its display name — so duplicated work is solved once per
+// campaign and reused across campaigns sharing a runner.
 //
 // Persistence: constructed with a directory, the cache reloads every
 // previously stored outcome at startup and writes each insertion back as
@@ -35,40 +34,41 @@
 #include <string>
 #include <unordered_map>
 
+#include "api/request.h"
 #include "campaign/scenario.h"
 
 namespace fsr::campaign {
 
-/// Full cache key of a scenario: kind tag + payload canonical form, plus
-/// the per-scenario seed for emulations and simulations (whose results are
-/// seed-dependent; safety verdicts are not).
-std::string scenario_cache_key(const Scenario& scenario);
-
-/// Cache key honouring the campaign's simulation configuration: a
-/// simulation scenario gains a sim marker embedding every SimOptions field
-/// that shapes a SimResult (churn scenario, suppression policy, MRAI
-/// window, link-delay bound, step budget) — with the cache persisted
-/// across processes, a warm run under a different --sim-scenario or
-/// --sim-mrai must miss, not serve a stale verdict keyed by seed alone.
-/// The detector choice and its test-only hash mask are deliberately
-/// absent: both detectors produce byte-identical SimResults (a tested
-/// property), so the detector ablation shares cache entries. Non-sim
-/// scenarios key exactly as scenario_cache_key(scenario).
+/// Full cache key of a scenario whose primary request compiled to
+/// `primary` (api::compile; the key reuses its canonical payload text,
+/// so the content is canonicalised once per scenario). The key is the
+/// kind tag; "|seed=<seed>" for emulations and simulations, whose results
+/// are seed-dependent (safety verdicts are not); then "|spp|" + the
+/// canonical text for an SPP payload, or "|" + it for an algebra payload
+/// ("alg|<name>|<spec>", plus "|topo|<topology>" for emulations). Two
+/// markers follow:
+///   * simulation scenarios get a sim marker embedding every SimOptions
+///     field that shapes a SimResult (churn scenario, suppression policy,
+///     MRAI window, link-delay bound, step budget) — with the cache
+///     persisted across processes, a warm run under a different
+///     --sim-scenario or --sim-mrai must miss, not serve a stale verdict
+///     keyed by seed alone. The detector choice and its test-only hash
+///     mask are deliberately absent: both detectors produce
+///     byte-identical SimResults (a tested property), so the detector
+///     ablation shares cache entries;
+///   * with `attempt_repair`, a repair-eligible scenario (SPP safety)
+///     gets a repair marker, so outcomes with and without repair data
+///     never alias. It embeds every RepairOptions field that shapes a
+///     repair outcome (oracle mode, edit and check budgets, relax switch,
+///     oracle budgets), so two runs differing only in --ground-truth never
+///     serve each other's outcomes. It stays seed-free: repair draws no
+///     randomness, so content dedup keeps collapsing duplicates.
+/// A malformed primary (one the service answers with an error) keys by
+/// the payload it does carry. Throws fsr::InvalidArgument when the
+/// scenario carries no payload at all.
 std::string scenario_cache_key(const Scenario& scenario,
-                               const sim::SimOptions& sim);
-
-/// Cache key honouring the campaign's repair mode AND simulation
-/// configuration: a repair-eligible scenario (SPP safety) gains a repair
-/// marker, so outcomes with and without repair data never alias in the
-/// cache. The marker embeds every RepairOptions field that shapes a repair
-/// outcome (oracle mode, edit and check budgets, relax switch, oracle
-/// budgets) — with the cache persisted across processes, two runs
-/// differing only in --ground-truth must not serve each other's outcomes.
-/// The marker stays seed-free: repair draws no randomness, so its summary
-/// is content-determined and content dedup keeps collapsing duplicates
-/// with repair enabled. Simulation scenarios gain the sim marker
-/// documented on the SimOptions overload above.
-std::string scenario_cache_key(const Scenario& scenario, bool attempt_repair,
+                               const api::CompiledRequest& primary,
+                               bool attempt_repair = false,
                                const repair::RepairOptions& repair = {},
                                const sim::SimOptions& sim = {});
 

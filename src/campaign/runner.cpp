@@ -113,8 +113,13 @@ class Schedule {
       result.kind = scenario.kind;
       result.seed = scenario.seed;
       validate_scenario(scenario);
-      std::string& key = keys_.emplace_back(scenario_cache_key(
-          scenario, options_.attempt_repair, options_.repair, options_.sim));
+      // Compiled once: the key reuses the primary's canonical text, and a
+      // unique scenario submits the same compiled request.
+      api::CompiledRequest primary =
+          api::compile(primary_request(scenario, options_));
+      std::string& key = keys_.emplace_back(
+          scenario_cache_key(scenario, primary, options_.attempt_repair,
+                             options_.repair, options_.sim));
       result.content_id = util::content_digest(key);
       representative_.push_back(k_no_representative);
 
@@ -134,7 +139,7 @@ class Schedule {
         }
       }
       work_.push_back(i);
-      submit_primary(i, scenario);
+      submit_primary(i, scenario, std::move(primary));
     }
   }
 
@@ -220,7 +225,8 @@ class Schedule {
   /// scenario never holds back another's repair. Repair outcomes (like
   /// safety verdicts) are a pure function of content, so the cache/dedup
   /// machinery keeps collapsing duplicates.
-  void submit_primary(std::size_t index, const Scenario& scenario) {
+  void submit_primary(std::size_t index, const Scenario& scenario,
+                      api::CompiledRequest primary) {
     std::shared_ptr<const spp::SppInstance> repairable;
     if (options_.attempt_repair && scenario.kind == ScenarioKind::safety) {
       repairable = scenario.spp;
@@ -232,7 +238,7 @@ class Schedule {
     }
     try {
       service_.submit(
-          primary_request(scenario, options_),
+          std::move(primary),
           [this, index, repairable](api::Response response) {
             guarded([&] { on_primary(index, repairable, response); });
           });

@@ -133,6 +133,11 @@ class Span {
 
   /// Attach a key/value to the span (rendered in the trace's args object).
   void arg(const char* key, const std::string& value);
+  /// A C string is a string argument (without this overload it would
+  /// convert to the bool one).
+  void arg(const char* key, const char* value) {
+    if (tracer_ != nullptr) arg(key, std::string(value));
+  }
   void arg(const char* key, std::uint64_t value);
   void arg(const char* key, std::int64_t value);
   void arg(const char* key, int value) {

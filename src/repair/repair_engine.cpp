@@ -94,7 +94,10 @@ class Search {
          const RepairSessions& sessions)
       : instance_(instance),
         options_(options),
-        spec_(spp::algebra_from_spp(instance)->symbolic()),
+        spec_(sessions.spec != nullptr
+                  ? *sessions.spec
+                  : own_spec_.emplace(
+                        spp::algebra_from_spp(instance)->symbolic())),
         gate_(sessions.strict_gate) {
     // Snapshot the borrowed gate's lifetime counter NOW so every gate
     // query this run issues — however many future search shapes need — is
@@ -682,7 +685,10 @@ class Search {
 
   const spp::SppInstance& instance_;
   const RepairOptions& options_;
-  algebra::SymbolicSpec spec_;
+  // The instance's translated spec: lent through RepairSessions, else
+  // translated here (own_spec_ is declared first so it is built first).
+  std::optional<algebra::SymbolicSpec> own_spec_;
+  const algebra::SymbolicSpec& spec_;
   // Borrowed read-only gate session (see RepairSessions); answers the
   // initial check so the mutable search session below can stay unbuilt
   // until a candidate actually needs a re-check.

@@ -172,9 +172,16 @@ std::string render_text(const RepairReport& report);
 ///     caveat the campaign cache keys by). Session-effort stats in the
 ///     report are per-run deltas. Used only when options select the
 ///     sat-search oracle with use_incremental_oracle.
+///   * `spec` must be exactly this instance's translated spec
+///     (spp::algebra_from_spp(instance)->symbolic()) and must outlive the
+///     repair() call. The search reads it instead of translating the
+///     instance again — the service lends the spec it just built a cold
+///     gate from, so a cold repair translates once. Without a loan (the
+///     fsr_repair CLI, tests, a warm gate) the search translates itself.
 struct RepairSessions {
   IncrementalSafetySession* strict_gate = nullptr;
   groundtruth::StableSatSession* oracle = nullptr;
+  const algebra::SymbolicSpec* spec = nullptr;
 };
 
 class RepairEngine {

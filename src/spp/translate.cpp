@@ -1,6 +1,8 @@
 #include "spp/translate.h"
 
 #include "algebra/finite_algebra.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/error.h"
 
 namespace fsr::spp {
@@ -14,6 +16,10 @@ std::string spp_signature(const Path& path) {
 }
 
 algebra::AlgebraPtr algebra_from_spp(const SppInstance& instance) {
+  static obs::Counter& translations =
+      obs::registry().counter("spp.translations");
+  translations.add(1);
+  obs::Span span("spp.translate");
   if (instance.permitted_path_count() == 0) {
     throw InvalidArgument("SPP instance '" + instance.name() +
                           "' has no permitted paths");

@@ -28,7 +28,8 @@ std::string spp_label(const std::string& u, const std::string& v);
 /// Signature constant for a permitted path.
 std::string spp_signature(const Path& path);
 
-/// Builds the algebra of Section III-B for `instance`.
+/// Builds the algebra of Section III-B for `instance` (counted in the
+/// "spp.translations" registry counter, timed by the "spp.translate" span).
 /// Throws fsr::InvalidArgument if the instance has no permitted paths.
 algebra::AlgebraPtr algebra_from_spp(const SppInstance& instance);
 

@@ -20,12 +20,37 @@
 #include "campaign/scenario.h"
 #include "algebra/standard_policies.h"
 #include "campaign/scenario_source.h"
+#include "obs/metrics.h"
 #include "spp/gadgets.h"
 #include "topology/as_hierarchy.h"
 #include "util/error.h"
 
 namespace fsr::campaign {
 namespace {
+
+/// The scenario's cache key, keyed from its compiled primary request the
+/// way the runner compiles it (safety: analyze-safety; emulation and
+/// simulation: the seeded request under `sim`'s churn regime).
+std::string key_of(const Scenario& scenario, bool attempt_repair = false,
+                   const repair::RepairOptions& repair = {},
+                   const sim::SimOptions& sim = {}) {
+  api::Request request;
+  if (scenario.kind == ScenarioKind::safety) {
+    request = api::AnalyzeSafetyRequest{scenario.algebra, scenario.spp};
+  } else if (scenario.kind == ScenarioKind::simulation) {
+    api::SimulateRequest simulate;
+    simulate.spp = scenario.spp;
+    simulate.seed = scenario.seed;
+    simulate.scenario = sim.scenario;
+    simulate.suppression = sim.suppression;
+    request = simulate;
+  } else {
+    request = api::EmulateRequest{scenario.spp, scenario.algebra,
+                                  scenario.topology, scenario.seed};
+  }
+  return scenario_cache_key(scenario, api::compile(std::move(request)),
+                            attempt_repair, repair, sim);
+}
 
 std::vector<std::unique_ptr<ScenarioSource>> quick_sources() {
   std::vector<std::unique_ptr<ScenarioSource>> sources;
@@ -86,16 +111,70 @@ TEST(Cache, ScenarioKeySeparatesKindsAndEmulationSeeds) {
   Scenario emulation_reseeded = emulation;
   emulation_reseeded.seed = 8;
 
-  EXPECT_NE(scenario_cache_key(safety), scenario_cache_key(emulation));
-  EXPECT_EQ(scenario_cache_key(safety), scenario_cache_key(safety_reseeded));
-  EXPECT_NE(scenario_cache_key(emulation),
-            scenario_cache_key(emulation_reseeded));
+  EXPECT_NE(key_of(safety), key_of(emulation));
+  EXPECT_EQ(key_of(safety), key_of(safety_reseeded));
+  EXPECT_NE(key_of(emulation), key_of(emulation_reseeded));
 }
 
 TEST(Cache, PayloadlessScenarioRejected) {
   Scenario empty;
   empty.id = "empty";
-  EXPECT_THROW(scenario_cache_key(empty), InvalidArgument);
+  EXPECT_THROW(key_of(empty), InvalidArgument);
+}
+
+TEST(Cache, ScenarioKeySpellsOutThePayloadCanonicalForm) {
+  // Record file names are content_digest(key), so the key's bytes are
+  // pinned literally: the kind, the seed where results depend on it, then
+  // the payload's canonical form — the same text the compiled request's
+  // fingerprint digests.
+  Scenario safety;
+  safety.id = "x";
+  safety.kind = ScenarioKind::safety;
+  safety.seed = 7;
+  safety.spp = std::make_shared<const spp::SppInstance>(spp::good_gadget());
+  EXPECT_EQ(key_of(safety), "safety|spp|" + spp::canonical_spp(*safety.spp));
+
+  topology::AsHierarchyParams params;
+  params.depth = 3;
+  params.seed = 1;
+  Scenario emulation;
+  emulation.id = "e";
+  emulation.kind = ScenarioKind::emulation;
+  emulation.seed = 7;
+  emulation.algebra = algebra::gao_rexford_guideline_a();
+  emulation.topology = std::make_shared<const topology::Topology>(
+      topology::generate_as_hierarchy(params, topology::LabelScheme::business));
+  EXPECT_EQ(key_of(emulation),
+            "emulation|seed=7|alg|" + emulation.algebra->name() + "|" +
+                algebra::canonical_spec(emulation.algebra->symbolic()) +
+                "|topo|" + topology::canonical_topology(*emulation.topology));
+
+  Scenario simulation = safety;
+  simulation.kind = ScenarioKind::simulation;
+  EXPECT_EQ(key_of(simulation),
+            "simulation|seed=7|spp|" + spp::canonical_spp(*safety.spp) +
+                "|sim|scenario=steady;suppression=none;mrai=0;delay=" +
+                std::to_string(sim::SimOptions().max_link_delay) +
+                ";steps=" + std::to_string(sim::SimOptions().max_steps));
+}
+
+TEST(Cache, AnInvalidPrimaryStillKeysByItsPayload) {
+  // A simulation under an unknown churn scenario compiles to an error the
+  // service answers in-band; its key still names the instance it carries,
+  // so distinct instances never collapse into one failed scenario.
+  Scenario simulation;
+  simulation.id = "s";
+  simulation.kind = ScenarioKind::simulation;
+  simulation.seed = 7;
+  simulation.spp = std::make_shared<const spp::SppInstance>(spp::bad_gadget());
+  sim::SimOptions bogus;
+  bogus.scenario = "no-such-scenario";
+  EXPECT_EQ(key_of(simulation, false, {}, bogus),
+            "simulation|seed=7|spp|" + spp::canonical_spp(*simulation.spp) +
+                "|sim|scenario=no-such-scenario;suppression=none;mrai=" +
+                std::to_string(bogus.mrai_ticks) + ";delay=" +
+                std::to_string(bogus.max_link_delay) +
+                ";steps=" + std::to_string(bogus.max_steps));
 }
 
 // -------------------------------------------------------------- random spp --
@@ -443,22 +522,19 @@ TEST(Cache, RepairModeSeparatesKeys) {
   // Outcomes with repair data must not alias plain safety outcomes, but
   // repair results are content-determined (repair draws no randomness),
   // so the repair key stays seed-free and duplicates still dedup.
-  EXPECT_NE(scenario_cache_key(safety, true), scenario_cache_key(safety, false));
-  EXPECT_EQ(scenario_cache_key(safety, false), scenario_cache_key(safety));
+  EXPECT_NE(key_of(safety, true), key_of(safety, false));
+  EXPECT_EQ(key_of(safety, false), key_of(safety));
   Scenario reseeded = safety;
   reseeded.seed = 8;
-  EXPECT_EQ(scenario_cache_key(safety, true),
-            scenario_cache_key(reseeded, true));
-  EXPECT_EQ(scenario_cache_key(safety, false),
-            scenario_cache_key(reseeded, false));
+  EXPECT_EQ(key_of(safety, true), key_of(reseeded, true));
+  EXPECT_EQ(key_of(safety, false), key_of(reseeded, false));
 
   // Algebra scenarios are not repair-eligible; their key is mode-invariant.
   Scenario algebra_scenario;
   algebra_scenario.id = "alg";
   algebra_scenario.kind = ScenarioKind::safety;
   algebra_scenario.algebra = algebra::gao_rexford_guideline_a();
-  EXPECT_EQ(scenario_cache_key(algebra_scenario, true),
-            scenario_cache_key(algebra_scenario, false));
+  EXPECT_EQ(key_of(algebra_scenario, true), key_of(algebra_scenario, false));
 }
 
 TEST(Cache, SimConfigSeparatesKeys) {
@@ -473,43 +549,43 @@ TEST(Cache, SimConfigSeparatesKeys) {
   simulation.spp =
       std::make_shared<const spp::SppInstance>(spp::bad_gadget());
   const sim::SimOptions base;
-  const std::string base_key = scenario_cache_key(simulation, base);
+  const std::string base_key = key_of(simulation, false, {}, base);
 
   sim::SimOptions churn = base;
   churn.scenario = "link-flap";
-  EXPECT_NE(scenario_cache_key(simulation, churn), base_key);
+  EXPECT_NE(key_of(simulation, false, {}, churn), base_key);
   sim::SimOptions suppressed = base;
   suppressed.suppression = "split-horizon";
-  EXPECT_NE(scenario_cache_key(simulation, suppressed), base_key);
+  EXPECT_NE(key_of(simulation, false, {}, suppressed), base_key);
   sim::SimOptions mrai = base;
   mrai.mrai_ticks = 5;
-  EXPECT_NE(scenario_cache_key(simulation, mrai), base_key);
+  EXPECT_NE(key_of(simulation, false, {}, mrai), base_key);
   sim::SimOptions slower_links = base;
   slower_links.max_link_delay = 9;
-  EXPECT_NE(scenario_cache_key(simulation, slower_links), base_key);
+  EXPECT_NE(key_of(simulation, false, {}, slower_links), base_key);
   sim::SimOptions tighter_budget = base;
   tighter_budget.max_steps = 64;
-  EXPECT_NE(scenario_cache_key(simulation, tighter_budget), base_key);
+  EXPECT_NE(key_of(simulation, false, {}, tighter_budget), base_key);
 
   // The detector axes are deliberately NOT keyed: the differential suite
   // proves both detectors byte-identical (and the hash mask is verified
   // away), so their records are interchangeable by construction.
   sim::SimOptions canonical = base;
   canonical.detector = "canonical";
-  EXPECT_EQ(scenario_cache_key(simulation, canonical), base_key);
+  EXPECT_EQ(key_of(simulation, false, {}, canonical), base_key);
   sim::SimOptions masked = base;
   masked.detector_hash_mask = 0;
-  EXPECT_EQ(scenario_cache_key(simulation, masked), base_key);
+  EXPECT_EQ(key_of(simulation, false, {}, masked), base_key);
 
   // The per-run seed is already in the base key, not the sim marker.
   Scenario reseeded = simulation;
   reseeded.seed = 8;
-  EXPECT_NE(scenario_cache_key(reseeded, base), base_key);
+  EXPECT_NE(key_of(reseeded, false, {}, base), base_key);
 
   // Non-simulation scenarios ignore the sim config entirely.
   Scenario safety = simulation;
   safety.kind = ScenarioKind::safety;
-  EXPECT_EQ(scenario_cache_key(safety, churn), scenario_cache_key(safety));
+  EXPECT_EQ(key_of(safety, false, {}, churn), key_of(safety));
 }
 
 TEST(CampaignRunner, WarmCacheNeverServesADifferentSimConfig) {
@@ -638,6 +714,65 @@ TEST(CampaignRunner, FailingScenarioRecordsErrorWithoutAborting) {
   EXPECT_TRUE(report.results[1].outcome->error.empty());
   EXPECT_EQ(runner.cache().size(), 1u);  // only the good outcome cached
   EXPECT_NE(to_json(report).find("\"verdict\": \"error\""), std::string::npos);
+}
+
+TEST(CampaignRunner, EachScenarioCompilesOnceAndEachSafetySolveTranslatesOnce) {
+  // Compile once per request: every scenario's primary compiles once on
+  // the calling thread (duplicates included — the key needs it), every
+  // repair follow-up once on its worker. Only solved SPP safety scenarios
+  // and repairs translate, once each.
+  std::vector<Scenario> scenarios;
+  std::vector<bool> spp_safety;
+  const auto add = [&](const std::string& id, ScenarioKind kind,
+                       const std::string& gadget) {
+    Scenario scenario;
+    scenario.id = id;
+    scenario.source = "counts";
+    scenario.kind = kind;
+    scenario.seed = scenarios.size() + 1;
+    scenario.spp =
+        std::make_shared<const spp::SppInstance>(spp::gadget_by_name(gadget));
+    scenarios.push_back(std::move(scenario));
+    spp_safety.push_back(kind == ScenarioKind::safety);
+  };
+  for (const char* name : {"good", "bad", "disagree", "ibgp-figure3"}) {
+    add(std::string("safety/") + name, ScenarioKind::safety, name);
+  }
+  add("safety/bad-again", ScenarioKind::safety, "bad");  // deduplicated
+  add("simulation/bad", ScenarioKind::simulation, "bad");
+  Scenario algebra_scenario;
+  algebra_scenario.id = "safety/guideline-a";
+  algebra_scenario.source = "counts";
+  algebra_scenario.kind = ScenarioKind::safety;
+  algebra_scenario.algebra = algebra::gao_rexford_guideline_a();
+  scenarios.push_back(algebra_scenario);
+  spp_safety.push_back(false);
+
+  CampaignOptions options;
+  options.threads = 2;
+  options.attempt_repair = true;
+  CampaignRunner runner(options);
+  obs::Counter& compilations = obs::registry().counter("api.compilations");
+  obs::Counter& translations = obs::registry().counter("spp.translations");
+  const std::uint64_t compilations_before = compilations.value();
+  const std::uint64_t translations_before = translations.value();
+  const CampaignReport report = runner.run_scenarios(scenarios);
+
+  std::size_t repairs = 0;
+  std::size_t solved_spp_safety = 0;
+  for (std::size_t i = 0; i < report.results.size(); ++i) {
+    const ScenarioResult& result = report.results[i];
+    if (result.deduplicated || result.cache_hit) continue;
+    if (spp_safety[i]) ++solved_spp_safety;
+    if (result.outcome->repair.has_value()) ++repairs;
+  }
+  EXPECT_EQ(report.deduplicated_count, 1u);
+  EXPECT_EQ(solved_spp_safety, 4u);
+  EXPECT_EQ(repairs, 3u);  // bad, disagree, ibgp-figure3
+  EXPECT_EQ(compilations.value() - compilations_before,
+            scenarios.size() + repairs);
+  EXPECT_EQ(translations.value() - translations_before,
+            solved_spp_safety + repairs);
 }
 
 TEST(CampaignRunner, RejectsMalformedScenarioShapes) {

@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <set>
 #include <future>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "spp/gadgets.h"
 #include "spp/translate.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace fsr::api {
 namespace {
@@ -535,22 +537,203 @@ TEST(Service, BorrowedSessionsMatchSelfBuiltReportBytes) {
     const spp::SppInstance instance = spp::gadget_by_name(name);
     const std::string self_built = repair::to_json(engine.repair(instance));
 
+    // The service's cold path: one translation builds the gate and is
+    // lent to the search; the warm path lends no spec.
+    const algebra::SymbolicSpec spec =
+        spp::algebra_from_spp(instance)->symbolic();
     IncrementalSafetySession::Options gate_options;
     gate_options.extract_models = false;
-    IncrementalSafetySession gate(
-        spp::algebra_from_spp(instance)->symbolic(), MonotonicityMode::strict,
-        gate_options);
+    IncrementalSafetySession gate(spec, MonotonicityMode::strict,
+                                  gate_options);
     groundtruth::StableSatSession oracle(instance);
     repair::RepairSessions sessions;
     sessions.strict_gate = &gate;
     sessions.oracle = &oracle;
+    sessions.spec = &spec;
     EXPECT_EQ(repair::to_json(engine.repair(instance, sessions)),
               self_built)
-        << name << " (cold borrowed sessions)";
+        << name << " (cold borrowed sessions, lent spec)";
+    sessions.spec = nullptr;
     EXPECT_EQ(repair::to_json(engine.repair(instance, sessions)),
               self_built)
         << name << " (warm borrowed sessions)";
   }
+}
+
+/// Registry deltas of the two stages a request compiles once: content
+/// identity ("api.compilations") and SPP translation ("spp.translations").
+struct CompileCounts {
+  std::uint64_t compilations = 0;
+  std::uint64_t translations = 0;
+};
+
+CompileCounts compile_counts() {
+  return {obs::registry().counter("api.compilations").value(),
+          obs::registry().counter("spp.translations").value()};
+}
+
+/// The counts one call() costs on `service`.
+CompileCounts counts_of_call(AnalysisService& service, Request request) {
+  const CompileCounts before = compile_counts();
+  const Response response = service.call(std::move(request));
+  EXPECT_TRUE(response.error.empty()) << response.error;
+  const CompileCounts after = compile_counts();
+  return {after.compilations - before.compilations,
+          after.translations - before.translations};
+}
+
+TEST(Service, EachRequestCompilesOnceAndTranslatesAtMostOnce) {
+  AnalysisService service;  // threads = 1: the repeat is served warm
+  // A cold repair translates once: the spec that builds the strict gate
+  // is lent to the search.
+  const CompileCounts cold =
+      counts_of_call(service, RepairRequest{shared_gadget("bad")});
+  EXPECT_EQ(cold.compilations, 1u);
+  EXPECT_EQ(cold.translations, 1u);
+  // A warm repair reuses the gate; only the search translates.
+  const CompileCounts warm =
+      counts_of_call(service, RepairRequest{shared_gadget("bad")});
+  EXPECT_EQ(warm.compilations, 1u);
+  EXPECT_EQ(warm.translations, 1u);
+  // SPP safety analysis translates once, for the analyzer.
+  const CompileCounts safety = counts_of_call(
+      service, AnalyzeSafetyRequest{nullptr, shared_gadget("disagree")});
+  EXPECT_EQ(safety.compilations, 1u);
+  EXPECT_EQ(safety.translations, 1u);
+  // Ground truth and simulation never translate.
+  const CompileCounts truth = counts_of_call(
+      service, GroundTruthRequest{shared_gadget("disagree"), {}});
+  EXPECT_EQ(truth.compilations, 1u);
+  EXPECT_EQ(truth.translations, 0u);
+  SimulateRequest simulate;
+  simulate.spp = shared_gadget("disagree");
+  const CompileCounts simulated = counts_of_call(service, simulate);
+  EXPECT_EQ(simulated.compilations, 1u);
+  EXPECT_EQ(simulated.translations, 0u);
+}
+
+TEST(Service, CompiledRequestCarriesTheFingerprintAndTheValidationError) {
+  const CompiledRequest valid = compile(RepairRequest{shared_gadget("bad")});
+  EXPECT_TRUE(valid.error().empty());
+  EXPECT_EQ(valid.canonical(), spp::canonical_spp(spp::bad_gadget()));
+  EXPECT_EQ(valid.fingerprint(), util::content_digest(valid.canonical()));
+  EXPECT_EQ(valid.fingerprint(),
+            fingerprint(Request(GroundTruthRequest{shared_gadget("bad"), {}})));
+
+  // An invalid request keeps the canonical text of the payload it carries
+  // but gets no fingerprint; fingerprint() still throws on it.
+  SimulateRequest bogus;
+  bogus.spp = shared_gadget("bad");
+  bogus.scenario = "bogus";
+  const CompiledRequest invalid = compile(bogus);
+  EXPECT_FALSE(invalid.error().empty());
+  EXPECT_EQ(invalid.canonical(), valid.canonical());
+  EXPECT_EQ(invalid.fingerprint(), "");
+  EXPECT_THROW(fingerprint(Request(bogus)), InvalidArgument);
+
+  // Submitting the compiled request answers exactly like submitting the
+  // plain one.
+  AnalysisService service;
+  std::promise<Response> answered;
+  service.submit(compile(RepairRequest{shared_gadget("bad")}),
+                 [&answered](Response response) {
+                   answered.set_value(std::move(response));
+                 });
+  const Response compiled_answer = answered.get_future().get();
+  AnalysisService fresh;
+  const Response plain_answer = fresh.call(RepairRequest{shared_gadget("bad")});
+  EXPECT_EQ(deterministic_bytes(compiled_answer),
+            deterministic_bytes(plain_answer));
+}
+
+TEST(Service, InvalidRequestsAnswerInBandWithTheirValidationError) {
+  // Every malformed shape answers through call() with its exact
+  // validation text, its kind, no fingerprint and no payload, and counts
+  // one error.
+  AnalyzeSafetyRequest both;
+  both.spp = shared_gadget("bad");
+  both.algebra = spp::algebra_from_spp(*both.spp);
+  SimulateRequest no_spp;
+  SimulateRequest bad_scenario;
+  bad_scenario.spp = shared_gadget("bad");
+  bad_scenario.scenario = "bogus";
+  SimulateRequest bad_suppression;
+  bad_suppression.spp = shared_gadget("bad");
+  bad_suppression.suppression = "bogus";
+  SimulateRequest zero_steps;
+  zero_steps.spp = shared_gadget("bad");
+  zero_steps.max_steps = 0;
+  struct Case {
+    Request request;
+    RequestKind kind;
+    std::string error;
+  };
+  const std::vector<Case> cases = {
+      {both, RequestKind::analyze_safety,
+       "analyze-safety request needs exactly one of {algebra, spp}"},
+      {AnalyzeSafetyRequest{}, RequestKind::analyze_safety,
+       "analyze-safety request needs exactly one of {algebra, spp}"},
+      {GroundTruthRequest{}, RequestKind::ground_truth,
+       "ground-truth request needs an SPP instance"},
+      {RepairRequest{}, RequestKind::repair,
+       "repair request needs an SPP instance"},
+      {EmulateRequest{}, RequestKind::emulate,
+       "emulate request needs an SPP instance, or an algebra plus a "
+       "topology"},
+      {no_spp, RequestKind::simulate,
+       "simulate request needs an SPP instance"},
+      {bad_scenario, RequestKind::simulate,
+       "unknown simulation scenario 'bogus' (expected one of: steady, "
+       "staged, link-flap, session-reset)"},
+      {bad_suppression, RequestKind::simulate,
+       "unknown suppression policy 'bogus' (expected one of: none, "
+       "split-horizon, poisoned-reverse)"},
+      {zero_steps, RequestKind::simulate, "simulate max-steps must be >= 1"},
+  };
+  AnalysisService service;
+  for (const Case& c : cases) {
+    const std::uint64_t errors_before = service.stats().errors;
+    const Response response = service.call(c.request);
+    EXPECT_EQ(response.error, c.error);
+    EXPECT_EQ(response.kind, c.kind) << c.error;
+    EXPECT_EQ(response.fingerprint, "") << c.error;
+    EXPECT_FALSE(response.safety.has_value()) << c.error;
+    EXPECT_FALSE(response.ground_truth.has_value()) << c.error;
+    EXPECT_FALSE(response.repair.has_value()) << c.error;
+    EXPECT_FALSE(response.emulation.has_value()) << c.error;
+    EXPECT_FALSE(response.sim.has_value()) << c.error;
+    EXPECT_FALSE(response.stats.has_value()) << c.error;
+    EXPECT_FALSE(response.debug.has_value()) << c.error;
+    EXPECT_EQ(service.stats().errors - errors_before, 1u) << c.error;
+  }
+}
+
+TEST(SessionCache, AHitMatchesContentNotOnlyTheFingerprint) {
+  // Two different instances under one fingerprint string (a digest
+  // collision, forced here) must not share a strict gate or an oracle.
+  SessionCache cache(8);
+  const auto bad = shared_gadget("bad");
+  SessionCache::Entry* first = cache.ensure("0123456789abcdef", bad);
+  first->oracle.emplace(*bad);
+  first->strict_gate.emplace(spp::algebra_from_spp(*bad)->symbolic(),
+                             MonotonicityMode::strict);
+  SessionCache::Entry* other =
+      cache.ensure("0123456789abcdef", shared_gadget("good"));
+  EXPECT_FALSE(other->oracle.has_value());
+  EXPECT_FALSE(other->strict_gate.has_value());
+  EXPECT_EQ(spp::canonical_spp(*other->instance),
+            spp::canonical_spp(spp::good_gadget()));
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 2u);
+
+  // Equal content is a hit, whether or not it is the same object.
+  other->oracle.emplace(*other->instance);
+  EXPECT_TRUE(cache.ensure("0123456789abcdef", shared_gadget("good"))
+                  ->oracle.has_value());
+  EXPECT_TRUE(cache.ensure("0123456789abcdef", other->instance)
+                  ->oracle.has_value());
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(Service, ResponsesByteIdenticalToSerialAtAnyPoolSizeAndClientCount) {
@@ -813,6 +996,32 @@ TEST(Service, ByteIdentityHoldsWithTracingOnAtPoolSizesOneAndEight) {
     EXPECT_GE(parsed.find("traceEvents")->as_array("traceEvents").size(),
               requests.size());
   }
+}
+
+TEST(Service, ExecuteSpansNameTheirKindAndCompileStagesAreTraced) {
+  obs::Tracer tracer;
+  obs::install_tracer(&tracer);
+  {
+    AnalysisService service;
+    service.call(RepairRequest{shared_gadget("bad")});
+    service.call(GroundTruthRequest{shared_gadget("bad"), {}});
+  }
+  obs::install_tracer(nullptr);
+  const json::Value parsed = json::parse(tracer.chrome_trace_json());
+  std::vector<std::string> kinds;
+  std::set<std::string> names;
+  for (const json::Value& event :
+       parsed.find("traceEvents")->as_array("traceEvents")) {
+    const std::string& name = event.find("name")->as_string("name");
+    names.insert(name);
+    if (name != "service.execute") continue;
+    const json::Value* kind = event.find("args")->find("kind");
+    ASSERT_NE(kind, nullptr);
+    kinds.push_back(kind->as_string("kind"));  // a string, not `true`
+  }
+  EXPECT_EQ(kinds, (std::vector<std::string>{"repair", "ground-truth"}));
+  EXPECT_EQ(names.count("api.compile"), 1u);
+  EXPECT_EQ(names.count("spp.translate"), 1u);
 }
 
 TEST(Service, ByteIdentityHoldsWithEveryDiagnosticChannelEnabled) {
