@@ -44,7 +44,8 @@ class SymbolTable {
 
 /// Structural identity of one encoded constraint over ORIGINAL signature
 /// names; templates carry their rendered line in `lhs`. The repair engine
-/// interns these shapes to diff candidate configurations against the base.
+/// maps these shapes onto path ids to diff candidate configurations
+/// against the base.
 struct RelationShape {
   std::string rel;  // "<", "<=", "=", or "forall" for additive templates
   std::string lhs;

@@ -79,7 +79,7 @@ class IncrementalSafetySession {
   }
   const ConstraintProvenance& provenance(std::size_t index) const;
   /// Structural shape of constraint `index` (original signature names);
-  /// repair interns these to diff candidate configurations.
+  /// repair maps these onto path ids to diff candidate configurations.
   const encoding::RelationShape& shape(std::size_t index) const;
 
   /// Moves base constraints into the variable (retractable) set: they stop

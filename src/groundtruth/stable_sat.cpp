@@ -301,52 +301,26 @@ StableSearchResult solve_stable_assignments(const spp::SppInstance& instance,
 
 namespace {
 
-std::string ranking_key(const std::string& node, const std::vector<int>& pids) {
-  std::string key = node + "|";
-  for (std::size_t i = 0; i < pids.size(); ++i) {
-    if (i > 0) key += ",";
-    key += std::to_string(pids[i]);
-  }
-  return key;
+/// Availability is fixed by the base instance: a path is direct, forever
+/// unavailable (its suffix is not even base-permitted, and drop edits only
+/// shrink membership), or gated on its suffix's selector.
+bool never_available(const spp::PathIndex& index, spp::PathIndex::PathId pid) {
+  return !index.direct(pid) && index.suffix(pid) == spp::PathIndex::k_none;
 }
 
 }  // namespace
 
-StableSatSession::StableSatSession(const spp::SppInstance& base) {
-  nodes_ = base.nodes();
-
-  // Variables first (availability clauses reference other nodes' blocks).
-  for (const std::string& node : nodes_) {
-    NodeBlock block;
-    for (const spp::Path& path : base.permitted(node)) {
-      const int pid = static_cast<int>(paths_.size());
-      paths_.push_back(path);
-      pid_of_.emplace(path, pid);
+StableSatSession::StableSatSession(const spp::SppInstance& base)
+    : index_(base) {
+  // Variables first (availability clauses reference other nodes' blocks):
+  // per node, one selector per ranked path, then its none selector.
+  none_var_.assign(index_.node_count(), -1);
+  for (NodeId node = 0; node < index_.node_count(); ++node) {
+    if (node == index_.destination()) continue;
+    for (std::size_t rank = 0; rank < index_.ranked(node).size(); ++rank) {
       var_of_pid_.push_back(solver_.new_variable());
-      block.base_pids.push_back(pid);
     }
-    block.none_var = solver_.new_variable();
-    blocks_.emplace(node, std::move(block));
-  }
-
-  // Availability is fixed by the base instance: a path is direct, forever
-  // unavailable (its suffix is not even base-permitted, and drop edits only
-  // shrink membership), or gated on its suffix's selector.
-  avail_of_pid_.reserve(paths_.size());
-  suffix_pid_.assign(paths_.size(), -1);
-  for (std::size_t pid = 0; pid < paths_.size(); ++pid) {
-    if (paths_[pid].size() == 2) {
-      avail_of_pid_.push_back(Avail::direct);
-      continue;
-    }
-    const spp::Path suffix(paths_[pid].begin() + 1, paths_[pid].end());
-    const auto it = pid_of_.find(suffix);
-    if (it == pid_of_.end()) {
-      avail_of_pid_.push_back(Avail::never);
-    } else {
-      avail_of_pid_.push_back(Avail::suffix);
-      suffix_pid_[pid] = it->second;
-    }
+    none_var_[node] = solver_.new_variable();
   }
 
   // Permanent (rank-independent) clauses: exactly-one per node and
@@ -358,14 +332,13 @@ StableSatSession::StableSatSession(const spp::SppInstance& base) {
     solver_.add_clause(std::move(literals));
     ++stats_.base_clauses;
   };
-  for (const std::string& node : nodes_) {
-    const NodeBlock& block = blocks_.at(node);
+  for (NodeId node = 0; node < index_.node_count(); ++node) {
+    if (node == index_.destination()) continue;
     std::vector<Lit> options;
-    for (const int pid : block.base_pids) {
-      options.push_back(make_lit(var_of_pid_[static_cast<std::size_t>(pid)],
-                                 false));
+    for (const PathId pid : index_.ranked(node)) {
+      options.push_back(make_lit(var_of_pid_[pid], false));
     }
-    options.push_back(make_lit(block.none_var, false));
+    options.push_back(make_lit(none_var_[node], false));
     add_permanent(options);
     for (std::size_t i = 0; i < options.size(); ++i) {
       for (std::size_t j = i + 1; j < options.size(); ++j) {
@@ -373,25 +346,31 @@ StableSatSession::StableSatSession(const spp::SppInstance& base) {
       }
     }
   }
-  for (std::size_t pid = 0; pid < paths_.size(); ++pid) {
+  for (PathId pid = 0; pid < index_.path_count(); ++pid) {
     const Lit selected = make_lit(var_of_pid_[pid], false);
-    if (avail_of_pid_[pid] == Avail::never) {
+    if (never_available(index_, pid)) {
       add_permanent({lit_negate(selected)});
-    } else if (avail_of_pid_[pid] == Avail::suffix) {
-      const auto suffix = static_cast<std::size_t>(suffix_pid_[pid]);
-      add_permanent({lit_negate(selected), make_lit(var_of_pid_[suffix],
-                                                    false)});
+    } else if (!index_.direct(pid)) {
+      add_permanent({lit_negate(selected),
+                     make_lit(var_of_pid_[index_.suffix(pid)], false)});
     }
   }
 
   // Base ranking groups, pre-seeded into the cache so an unedited node's
   // query resolves like any other ranking lookup.
   const std::uint64_t base_group_clause_floor = encoded_clauses_;
-  for (const std::string& node : nodes_) {
-    (void)ranking_group(node, blocks_.at(node).base_pids);
+  for (NodeId node = 0; node < index_.node_count(); ++node) {
+    if (node == index_.destination()) continue;
+    (void)ranking_group(node, base_ranking(node));
   }
   stats_.base_clauses += encoded_clauses_ - base_group_clause_floor;
   stats_.group_cache_hits = 0;  // construction lookups are not query hits
+}
+
+std::vector<StableSatSession::PathId> StableSatSession::base_ranking(
+    NodeId node) const {
+  const auto ranked = index_.ranked(node);
+  return {ranked.begin(), ranked.end()};
 }
 
 void StableSatSession::add_group_clause(GroupId group,
@@ -400,9 +379,10 @@ void StableSatSession::add_group_clause(GroupId group,
   ++encoded_clauses_;
 }
 
-GroupId StableSatSession::ranking_group(const std::string& node,
-                                        const std::vector<int>& pids) {
-  const std::string key = ranking_key(node, pids);
+GroupId StableSatSession::ranking_group(NodeId node,
+                                        const std::vector<PathId>& pids) {
+  std::vector<std::uint32_t> key{node};
+  key.insert(key.end(), pids.begin(), pids.end());
   const auto it = group_cache_.find(key);
   if (it != group_cache_.end()) {
     ++stats_.group_cache_hits;
@@ -411,23 +391,20 @@ GroupId StableSatSession::ranking_group(const std::string& node,
   const GroupId group = solver_.new_group();
   ranking_groups_.push_back(group);
   ++stats_.groups_encoded;
-  encode_ranking_group(group, blocks_.at(node), pids);
-  group_cache_.emplace(key, group);
+  encode_ranking_group(group, node, pids);
+  group_cache_.emplace(std::move(key), group);
   return group;
 }
 
-void StableSatSession::encode_ranking_group(GroupId group,
-                                            const NodeBlock& block,
-                                            const std::vector<int>& pids) {
+void StableSatSession::encode_ranking_group(GroupId group, NodeId node,
+                                            const std::vector<PathId>& pids) {
   // Membership units: base paths absent from this ranking can never be
   // selected while the group is active. Everything downstream of a drop
   // (upstream consistency, bestness clauses that mention the dropped
   // path's availability) follows from these by unit propagation.
-  for (const int pid : block.base_pids) {
+  for (const PathId pid : index_.ranked(node)) {
     if (std::find(pids.begin(), pids.end(), pid) == pids.end()) {
-      add_group_clause(group,
-                       {make_lit(var_of_pid_[static_cast<std::size_t>(pid)],
-                                 true)});
+      add_group_clause(group, {make_lit(var_of_pid_[pid], true)});
     }
   }
 
@@ -435,36 +412,34 @@ void StableSatSession::encode_ranking_group(GroupId group,
   // and the never-available units are permanent, so only the rank-dependent
   // clauses are re-emitted).
   for (std::size_t rank = 0; rank < pids.size(); ++rank) {
-    const auto pid = static_cast<std::size_t>(pids[rank]);
-    if (avail_of_pid_[pid] == Avail::never) continue;  // permanently off
+    const PathId pid = pids[rank];
+    if (never_available(index_, pid)) continue;  // permanently off
     const Lit selected = make_lit(var_of_pid_[pid], false);
     for (std::size_t better = 0; better < rank; ++better) {
-      const auto alt = static_cast<std::size_t>(pids[better]);
-      if (avail_of_pid_[alt] == Avail::never) continue;
-      if (avail_of_pid_[alt] == Avail::direct) {
+      const PathId alt = pids[better];
+      if (never_available(index_, alt)) continue;
+      if (index_.direct(alt)) {
         // A better-ranked direct path is always available: this path can
         // never be the best consistent choice.
         add_group_clause(group, {lit_negate(selected)});
         break;
       }
-      const auto suffix = static_cast<std::size_t>(suffix_pid_[alt]);
       add_group_clause(group, {lit_negate(selected),
-                               make_lit(var_of_pid_[suffix], true)});
+                               make_lit(var_of_pid_[index_.suffix(alt)],
+                                        true)});
     }
   }
 
   // Routing to nothing requires every ranked path to be unavailable.
-  const Lit none = make_lit(block.none_var, false);
-  for (const int signed_pid : pids) {
-    const auto pid = static_cast<std::size_t>(signed_pid);
-    if (avail_of_pid_[pid] == Avail::never) continue;
-    if (avail_of_pid_[pid] == Avail::direct) {
+  const Lit none = make_lit(none_var_[node], false);
+  for (const PathId pid : pids) {
+    if (never_available(index_, pid)) continue;
+    if (index_.direct(pid)) {
       add_group_clause(group, {lit_negate(none)});  // a direct path exists
       break;
     }
-    const auto suffix = static_cast<std::size_t>(suffix_pid_[pid]);
     add_group_clause(group, {lit_negate(none),
-                             make_lit(var_of_pid_[suffix], true)});
+                             make_lit(var_of_pid_[index_.suffix(pid)], true)});
   }
 }
 
@@ -478,7 +453,7 @@ StableSearchResult StableSatSession::analyze(
   const std::uint64_t groups_floor = stats_.groups_encoded;
   const std::uint64_t group_hits_floor = stats_.group_cache_hits;
   StableSearchResult result;
-  if (nodes_.empty()) {
+  if (index_.node_count() == 1) {  // the destination alone
     result.decided = true;
     result.has_stable = true;
     result.count = 1;  // the empty assignment is vacuously stable
@@ -487,33 +462,30 @@ StableSearchResult StableSatSession::analyze(
     return result;
   }
 
-  // Resolve the desired ranking (as interned path ids) per edited node.
-  std::map<std::string, std::vector<int>> desired;
+  // Resolve the desired ranking (as path ids) per edited node.
+  std::map<NodeId, std::vector<PathId>> desired;
   for (const RankingDelta& delta : deltas) {
-    const auto block_it = blocks_.find(delta.node);
-    if (block_it == blocks_.end()) {
+    const auto node = index_.node(delta.node);
+    if (!node.has_value() || *node == index_.destination()) {
       throw InvalidArgument("stable-sat session: delta names unknown node '" +
                             delta.node + "'");
     }
-    std::vector<int> pids;
-    std::set<int> unique;
+    std::vector<PathId> pids;
+    std::set<PathId> unique;
     for (const spp::Path& path : delta.ranked) {
-      const auto pid_it = pid_of_.find(path);
+      const auto pid = index_.find(path);
       const bool permitted_here =
-          pid_it != pid_of_.end() &&
-          std::find(block_it->second.base_pids.begin(),
-                    block_it->second.base_pids.end(),
-                    pid_it->second) != block_it->second.base_pids.end();
-      if (!permitted_here || !unique.insert(pid_it->second).second) {
+          pid.has_value() && index_.source(*pid) == *node;
+      if (!permitted_here || !unique.insert(*pid).second) {
         throw InvalidArgument("stable-sat session: delta for node '" +
                               delta.node + "' lists path " +
                               spp::path_name(path) +
                               (permitted_here ? " twice"
                                               : " not base-permitted there"));
       }
-      pids.push_back(pid_it->second);
+      pids.push_back(*pid);
     }
-    if (!desired.emplace(delta.node, std::move(pids)).second) {
+    if (!desired.emplace(*node, std::move(pids)).second) {
       throw InvalidArgument("stable-sat session: two deltas for node '" +
                             delta.node + "'");
     }
@@ -527,11 +499,13 @@ StableSearchResult StableSatSession::analyze(
 
   // One active ranking group per node; every other group is switched off
   // for this query.
+  std::vector<std::vector<PathId>> ranking(index_.node_count());
   std::set<GroupId> active;
-  for (const std::string& node : nodes_) {
+  for (NodeId node = 0; node < index_.node_count(); ++node) {
+    if (node == index_.destination()) continue;
     const auto it = desired.find(node);
-    active.insert(ranking_group(
-        node, it != desired.end() ? it->second : blocks_.at(node).base_pids));
+    ranking[node] = it != desired.end() ? it->second : base_ranking(node);
+    active.insert(ranking_group(node, ranking[node]));
   }
   std::vector<Lit> assumptions;
   assumptions.reserve(ranking_groups_.size() + 1);
@@ -567,23 +541,19 @@ StableSearchResult StableSatSession::analyze(
     result.has_stable = true;
     spp::Assignment assignment;
     std::vector<Lit> blocking;
-    for (const std::string& node : nodes_) {
-      const auto it = desired.find(node);
-      const std::vector<int>& pids =
-          it != desired.end() ? it->second : blocks_.at(node).base_pids;
+    for (NodeId node = 0; node < index_.node_count(); ++node) {
+      if (node == index_.destination()) continue;
       bool blocked = false;
-      for (const int pid : pids) {
-        const auto var = var_of_pid_[static_cast<std::size_t>(pid)];
+      for (const PathId pid : ranking[node]) {
+        const auto var = var_of_pid_[pid];
         if (solver_.model_value(var)) {
-          assignment[node] = paths_[static_cast<std::size_t>(pid)];
+          assignment[index_.name(node)] = index_.path(pid);
           blocking.push_back(make_lit(var, true));
           blocked = true;
           break;
         }
       }
-      if (!blocked) {
-        blocking.push_back(make_lit(blocks_.at(node).none_var, true));
-      }
+      if (!blocked) blocking.push_back(make_lit(none_var_[node], true));
     }
     result.assignments.push_back(std::move(assignment));
     if (result.assignments.size() >= target) {  // count stays a floor

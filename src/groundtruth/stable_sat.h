@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "groundtruth/sat_solver.h"
+#include "spp/path_index.h"
 #include "spp/spp.h"
 
 namespace fsr::groundtruth {
@@ -128,7 +129,7 @@ struct StableSessionStats {
 /// (it owns a SatSolver); distinct sessions are fully independent.
 class StableSatSession {
  public:
-  /// Snapshots `base` (rankings, variables, permanent clauses); the
+  /// Snapshots `base` (its path index, variables, permanent clauses); the
   /// instance need not outlive the session.
   explicit StableSatSession(const spp::SppInstance& base);
 
@@ -149,33 +150,25 @@ class StableSatSession {
   const StableSessionStats& stats() const noexcept { return stats_; }
 
  private:
-  /// How a path can become available to its owner (fixed by the base
-  /// instance: membership only ever shrinks under drop edits, so a
-  /// never-available path stays never-available in every query).
-  enum class Avail { direct, never, suffix };
+  using NodeId = spp::PathIndex::NodeId;
+  using PathId = spp::PathIndex::PathId;
 
-  struct NodeBlock {
-    std::vector<int> base_pids;  // base ranking as interned path ids
-    std::int32_t none_var = -1;
-  };
-
+  /// `node`'s base ranking as path ids.
+  std::vector<PathId> base_ranking(NodeId node) const;
   /// Returns the (cached or freshly encoded) ranking group for `node`
   /// ranked as `pids`.
-  GroupId ranking_group(const std::string& node, const std::vector<int>& pids);
-  void encode_ranking_group(GroupId group, const NodeBlock& block,
-                            const std::vector<int>& pids);
+  GroupId ranking_group(NodeId node, const std::vector<PathId>& pids);
+  void encode_ranking_group(GroupId group, NodeId node,
+                            const std::vector<PathId>& pids);
   void add_group_clause(GroupId group, std::vector<Lit> literals);
 
   SatSolver solver_;
-  std::vector<std::string> nodes_;
-  std::map<std::string, NodeBlock> blocks_;
-  std::vector<spp::Path> paths_;  // by interned path id
-  std::map<spp::Path, int> pid_of_;
+  spp::PathIndex index_;
   std::vector<std::int32_t> var_of_pid_;
-  std::vector<Avail> avail_of_pid_;
-  std::vector<int> suffix_pid_;          // valid when avail == suffix
+  std::vector<std::int32_t> none_var_;   // by node id (-1: the destination)
   std::vector<GroupId> ranking_groups_;  // creation order = assumption order
-  std::map<std::string, GroupId> group_cache_;  // "<node>|p0,p1,..." -> group
+  /// {node, p0, p1, ...} -> the group encoding that ranking.
+  std::map<std::vector<std::uint32_t>, GroupId> group_cache_;
   std::uint64_t encoded_clauses_ = 0;  // current query's clause counter
   StableSessionStats stats_;
 };

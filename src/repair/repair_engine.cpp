@@ -11,6 +11,7 @@
 #include "groundtruth/stable_sat.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "spp/path_index.h"
 #include "spp/translate.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -51,11 +52,6 @@ std::string edits_key(const std::vector<PolicyEdit>& edits) {
   return key;
 }
 
-struct SigInfo {
-  std::string node;
-  spp::Path path;
-};
-
 struct SearchState {
   std::vector<PolicyEdit> edits;  // sorted by describe()
   std::string key;
@@ -81,15 +77,18 @@ struct Evaluation {
 /// session — built lazily, since a borrowed gate (RepairSessions) answers
 /// the initial check and an already-safe run then needs no session at all.
 ///
-/// Candidate evaluation never re-translates the instance: permitted paths
-/// are interned to integers once, a candidate's constraint set is derived
-/// straight from its edited rankings (mirroring spp::algebra_from_spp:
-/// adjacent ranking pairs + permitted-suffix extensions), and the diff
-/// against the base encoding runs over integer pairs. That keeps the
-/// per-candidate cost proportional to the instance, with the solver work
-/// delegated to the shared incremental session.
+/// Candidate evaluation never re-translates the instance: it reads the
+/// instance's spp::PathIndex, derives a candidate's constraint set straight
+/// from its edited rankings (mirroring spp::algebra_from_spp: adjacent
+/// ranking pairs + permitted-suffix extensions), and diffs it against the
+/// base encoding over path-id pairs. That keeps the per-candidate cost
+/// proportional to the instance, with the solver work delegated to the
+/// shared incremental session.
 class Search {
  public:
+  using NodeId = spp::PathIndex::NodeId;
+  using PathId = spp::PathIndex::PathId;
+
   Search(const spp::SppInstance& instance, const RepairOptions& options,
          const RepairSessions& sessions)
       : instance_(instance),
@@ -98,7 +97,8 @@ class Search {
                   ? *sessions.spec
                   : own_spec_.emplace(
                         spp::algebra_from_spp(instance)->symbolic())),
-        gate_(sessions.strict_gate) {
+        gate_(sessions.strict_gate),
+        index_(instance) {
     // Snapshot the borrowed gate's lifetime counter NOW so every gate
     // query this run issues — however many future search shapes need — is
     // counted as a delta, exactly like the oracle stats below. A
@@ -113,33 +113,19 @@ class Search {
       oracle_session_ = sessions.oracle;
       oracle_stats_base_ = sessions.oracle->stats();
     }
-    for (const std::string& node : instance.nodes()) {
-      for (const spp::Path& path : instance.permitted(node)) {
-        sig_info_.emplace(spp::spp_signature(path), SigInfo{node, path});
-        const int pid = static_cast<int>(paths_.size());
-        path_ids_.emplace(path, pid);
-        paths_.push_back(path);
-        path_names_.push_back(spp::spp_signature(path));
-        base_rankings_[node].push_back(pid);
-      }
-    }
-    suffix_pid_.assign(paths_.size(), -1);
-    for (std::size_t pid = 0; pid < paths_.size(); ++pid) {
-      if (paths_[pid].size() <= 2) continue;
-      const spp::Path suffix(paths_[pid].begin() + 1, paths_[pid].end());
-      const auto it = path_ids_.find(suffix);
-      if (it != path_ids_.end()) suffix_pid_[pid] = it->second;
-    }
-    std::map<std::string, int> name_to_pid;
-    for (std::size_t pid = 0; pid < paths_.size(); ++pid) {
-      name_to_pid.emplace(path_names_[pid], static_cast<int>(pid));
+    signatures_.reserve(index_.path_count());
+    for (PathId pid = 0; pid < index_.path_count(); ++pid) {
+      signatures_.push_back(spp::spp_signature(index_, pid));
+      path_of_signature_.emplace(signatures_.back(), pid);
     }
     const IncrementalSafetySession& info = info_session();
     for (std::size_t i = 0; i < info.constraint_count(); ++i) {
       const encoding::RelationShape& shape = info.shape(i);
-      const auto lhs = name_to_pid.find(shape.lhs);
-      const auto rhs = name_to_pid.find(shape.rhs);
-      if (lhs == name_to_pid.end() || rhs == name_to_pid.end()) continue;
+      const auto lhs = path_of_signature_.find(shape.lhs);
+      const auto rhs = path_of_signature_.find(shape.rhs);
+      if (lhs == path_of_signature_.end() || rhs == path_of_signature_.end()) {
+        continue;
+      }
       base_pair_to_index_.emplace(
           std::make_pair(lhs->second, rhs->second), i);
     }
@@ -286,8 +272,8 @@ class Search {
           stats.group_cache_hits - oracle_stats_base_.group_cache_hits;
     }
     // wall_ms is set by RepairEngine::repair around the WHOLE Search
-    // lifetime: the constructor does real work (spec translation, path
-    // interning, session construction when nothing was lent), so timing
+    // lifetime: the constructor does real work (spec translation, the path
+    // index, session construction when nothing was lent), so timing
     // run() alone understated self-built runs relative to borrowed ones.
   }
 
@@ -327,13 +313,25 @@ class Search {
     cores_seen_.insert(std::move(key));
   }
 
-  const SigInfo& info_of(const std::string& signature) const {
-    const auto it = sig_info_.find(signature);
-    if (it == sig_info_.end()) {
+  PathId path_of(const std::string& signature) const {
+    const auto it = path_of_signature_.find(signature);
+    if (it == path_of_signature_.end()) {
       throw InvalidArgument("repair: spec signature '" + signature +
                             "' has no SPP path");
     }
     return it->second;
+  }
+
+  /// An edit of kind `kind` to path `pid` at its source.
+  PolicyEdit path_edit(EditKind kind, PathId pid) const {
+    return PolicyEdit{kind, index_.name(index_.source(pid)), index_.path(pid),
+                      {}};
+  }
+
+  /// Relaxes the constraint `lhs` < `rhs` to <=.
+  PolicyEdit relax_edit(PathId lhs, PathId rhs) const {
+    return PolicyEdit{EditKind::relax_preference, {}, index_.path(lhs),
+                      index_.path(rhs)};
   }
 
   /// Candidate edits justified by core element `index`.
@@ -342,28 +340,21 @@ class Search {
     const std::size_t preference_count = spec_.preferences.size();
     if (index < preference_count) {
       const auto& pref = spec_.preferences[index];
-      const SigInfo& preferred = info_of(pref.lhs);
-      const SigInfo& dispreferred = info_of(pref.rhs);
-      out.push_back(PolicyEdit{EditKind::demote_path, preferred.node,
-                               preferred.path, {}});
-      out.push_back(
-          PolicyEdit{EditKind::drop_path, preferred.node, preferred.path, {}});
-      out.push_back(PolicyEdit{EditKind::drop_path, dispreferred.node,
-                               dispreferred.path, {}});
+      const PathId preferred = path_of(pref.lhs);
+      const PathId dispreferred = path_of(pref.rhs);
+      out.push_back(path_edit(EditKind::demote_path, preferred));
+      out.push_back(path_edit(EditKind::drop_path, preferred));
+      out.push_back(path_edit(EditKind::drop_path, dispreferred));
       if (options_.allow_relax &&
           pref.rel == algebra::PrefRel::strictly_better) {
-        out.push_back(PolicyEdit{EditKind::relax_preference, {},
-                                 preferred.path, dispreferred.path});
+        out.push_back(relax_edit(preferred, dispreferred));
       }
     } else if (index < preference_count + spec_.extensions.size()) {
       const auto& ext = spec_.extensions[index - preference_count];
-      const SigInfo& extended = info_of(ext.to_sig);
-      const SigInfo& sub = info_of(ext.from_sig);
-      out.push_back(
-          PolicyEdit{EditKind::drop_path, extended.node, extended.path, {}});
+      const PathId extended = path_of(ext.to_sig);
+      out.push_back(path_edit(EditKind::drop_path, extended));
       if (options_.allow_relax) {
-        out.push_back(PolicyEdit{EditKind::relax_preference, {}, sub.path,
-                                 extended.path});
+        out.push_back(relax_edit(path_of(ext.from_sig), extended));
       }
     }
     return out;
@@ -384,26 +375,18 @@ class Search {
     return pool;
   }
 
-  /// Candidate edits for a constraint over two interned paths — the shape
-  /// of a per-check extra in the core. Same-node pairs behave like ranking
+  /// Candidate edits for a constraint over two paths — the shape of a
+  /// per-check extra in the core. Same-node pairs behave like ranking
   /// preferences; cross-node pairs like extension entries.
-  std::vector<PolicyEdit> edits_for_pair(int lhs, int rhs,
+  std::vector<PolicyEdit> edits_for_pair(PathId lhs, PathId rhs,
                                          bool strict) const {
-    const spp::Path& preferred = paths_[static_cast<std::size_t>(lhs)];
-    const spp::Path& dispreferred = paths_[static_cast<std::size_t>(rhs)];
     std::vector<PolicyEdit> out;
-    if (preferred.front() == dispreferred.front()) {
-      out.push_back(PolicyEdit{EditKind::demote_path, preferred.front(),
-                               preferred, {}});
-      out.push_back(
-          PolicyEdit{EditKind::drop_path, preferred.front(), preferred, {}});
+    if (index_.source(lhs) == index_.source(rhs)) {
+      out.push_back(path_edit(EditKind::demote_path, lhs));
+      out.push_back(path_edit(EditKind::drop_path, lhs));
     }
-    out.push_back(PolicyEdit{EditKind::drop_path, dispreferred.front(),
-                             dispreferred, {}});
-    if (strict && options_.allow_relax) {
-      out.push_back(
-          PolicyEdit{EditKind::relax_preference, {}, preferred, dispreferred});
-    }
+    out.push_back(path_edit(EditKind::drop_path, rhs));
+    if (strict && options_.allow_relax) out.push_back(relax_edit(lhs, rhs));
     return out;
   }
 
@@ -472,30 +455,29 @@ class Search {
     session.make_variable(to_mark);
   }
 
-  int path_id(const spp::Path& path) const {
-    const auto it = path_ids_.find(path);
-    return it == path_ids_.end() ? -1 : it->second;
-  }
-
   Evaluation evaluate(const SearchState& state) {
     Evaluation eval;
     std::vector<PolicyEdit> relax_edits;
     std::size_t spp_edit_count = 0;
 
-    // Apply drop/demote edits to an integer-id copy of the rankings.
-    std::map<std::string, std::vector<int>> rankings = base_rankings_;
-    std::size_t remaining = paths_.size();
+    // Apply drop/demote edits to a path-id copy of the rankings.
+    std::vector<std::vector<PathId>> rankings(index_.node_count());
+    for (NodeId node = 0; node < index_.node_count(); ++node) {
+      const auto base = index_.ranked(node);
+      rankings[node].assign(base.begin(), base.end());
+    }
+    std::size_t remaining = index_.path_count();
     for (const PolicyEdit& edit : state.edits) {
       if (edit.kind == EditKind::relax_preference) {
         relax_edits.push_back(edit);
         continue;
       }
       ++spp_edit_count;
-      const int pid = path_id(edit.path);
-      const auto node_it = rankings.find(edit.node);
-      if (pid < 0 || node_it == rankings.end()) return eval;
-      std::vector<int>& ranked = node_it->second;
-      const auto it = std::find(ranked.begin(), ranked.end(), pid);
+      const auto pid = index_.find(edit.path);
+      const auto node = index_.node(edit.node);
+      if (!pid.has_value() || !node.has_value()) return eval;
+      std::vector<PathId>& ranked = rankings[*node];
+      const auto it = std::find(ranked.begin(), ranked.end(), *pid);
       if (it == ranked.end()) return eval;  // already dropped by a sibling
       if (edit.kind == EditKind::drop_path) {
         ranked.erase(it);
@@ -511,17 +493,15 @@ class Search {
     // The candidate's constraint set, derived exactly as the Section III-B
     // translation would: adjacent ranking pairs + permitted-suffix
     // extensions, as (lhs path, rhs path) id pairs.
-    std::vector<std::pair<int, int>> pairs;
-    for (const auto& [node, ranked] : rankings) {
-      (void)node;
+    std::vector<std::pair<PathId, PathId>> pairs;
+    for (const std::vector<PathId>& ranked : rankings) {
       for (std::size_t i = 0; i + 1 < ranked.size(); ++i) {
         pairs.emplace_back(ranked[i], ranked[i + 1]);
       }
-      for (const int pid : ranked) {
-        const int suffix = suffix_pid_[static_cast<std::size_t>(pid)];
-        if (suffix < 0) continue;
-        const spp::Path& suffix_path = paths_[static_cast<std::size_t>(suffix)];
-        const auto& suffix_ranked = rankings.at(suffix_path.front());
+      for (const PathId pid : ranked) {
+        const PathId suffix = index_.suffix(pid);
+        if (suffix == spp::PathIndex::k_none) continue;
+        const auto& suffix_ranked = rankings[index_.source(suffix)];
         if (std::find(suffix_ranked.begin(), suffix_ranked.end(), suffix) !=
             suffix_ranked.end()) {
           pairs.emplace_back(suffix, pid);
@@ -531,19 +511,19 @@ class Search {
     std::vector<IncrementalSafetySession::Extra> extras;
     // The (path pair, strictness) behind each extra, so core members that
     // are extras can seed further edits.
-    std::vector<std::pair<int, int>> extra_pairs;
+    std::vector<std::pair<PathId, PathId>> extra_pairs;
     std::vector<char> extra_strict;
     for (const PolicyEdit& edit : relax_edits) {
-      const std::pair<int, int> target{path_id(edit.path),
-                                       path_id(edit.other)};
+      const auto lhs = index_.find(edit.path);
+      const auto rhs = index_.find(edit.other);
+      if (!lhs.has_value() || !rhs.has_value()) return eval;
+      const std::pair<PathId, PathId> target{*lhs, *rhs};
       const auto it = std::find(pairs.begin(), pairs.end(), target);
       if (it == pairs.end()) return eval;  // constraint already gone
       pairs.erase(it);
       extras.push_back(IncrementalSafetySession::Extra{
-          algebra::PrefRel::better_or_equal,
-          path_names_[static_cast<std::size_t>(target.first)],
-          path_names_[static_cast<std::size_t>(target.second)],
-          "relaxed: " + edit.describe()});
+          algebra::PrefRel::better_or_equal, signatures_[target.first],
+          signatures_[target.second], "relaxed: " + edit.describe()});
       extra_pairs.push_back(target);
       extra_strict.push_back(0);
     }
@@ -555,18 +535,16 @@ class Search {
     IncrementalSafetySession& session = search_session();
     consumed_.assign(session.constraint_count(), 0);
     std::vector<std::size_t> keep;
-    for (const std::pair<int, int>& pair : pairs) {
+    for (const std::pair<PathId, PathId>& pair : pairs) {
       const auto it = base_pair_to_index_.find(pair);
       if (it != base_pair_to_index_.end() && consumed_[it->second] == 0) {
         consumed_[it->second] = 1;
         if (session.is_variable(it->second)) keep.push_back(it->second);
       } else {
         extras.push_back(IncrementalSafetySession::Extra{
-            algebra::PrefRel::strictly_better,
-            path_names_[static_cast<std::size_t>(pair.first)],
-            path_names_[static_cast<std::size_t>(pair.second)],
-            path_names_[static_cast<std::size_t>(pair.first)] + " < " +
-                path_names_[static_cast<std::size_t>(pair.second)]});
+            algebra::PrefRel::strictly_better, signatures_[pair.first],
+            signatures_[pair.second],
+            signatures_[pair.first] + " < " + signatures_[pair.second]});
         extra_pairs.push_back(pair);
         extra_strict.push_back(1);
       }
@@ -588,12 +566,14 @@ class Search {
         eval.oracle_applies = true;
         // The candidate's oracle query: one RankingDelta per node whose
         // ranking the edits changed (everything else rides on the base).
-        for (const auto& [node, ranked] : rankings) {
-          if (ranked == base_rankings_.at(node)) continue;
+        for (NodeId node = 0; node < index_.node_count(); ++node) {
+          if (std::ranges::equal(rankings[node], index_.ranked(node))) {
+            continue;
+          }
           groundtruth::RankingDelta delta;
-          delta.node = node;
-          for (const int pid : ranked) {
-            delta.ranked.push_back(paths_[static_cast<std::size_t>(pid)]);
+          delta.node = index_.name(node);
+          for (const PathId pid : rankings[node]) {
+            delta.ranked.push_back(index_.path(pid));
           }
           eval.deltas.push_back(std::move(delta));
         }
@@ -601,7 +581,7 @@ class Search {
     } else {
       note_core(result.core);
       for (const std::size_t extra_index : result.extra_core) {
-        const std::pair<int, int>& pair = extra_pairs[extra_index];
+        const std::pair<PathId, PathId>& pair = extra_pairs[extra_index];
         for (PolicyEdit& edit :
              edits_for_pair(pair.first, pair.second,
                             extra_strict[extra_index] != 0)) {
@@ -706,15 +686,12 @@ class Search {
   groundtruth::StableSessionStats oracle_stats_base_{};
   std::unique_ptr<groundtruth::GroundTruthEngine> oracle_;
   std::map<std::string, std::size_t> edit_frequency_;  // beam scoring
-  std::map<std::string, SigInfo> sig_info_;
-  // Interned permitted paths and the base structures evaluate() diffs
-  // against (see class comment).
-  std::vector<spp::Path> paths_;
-  std::map<spp::Path, int> path_ids_;
-  std::vector<std::string> path_names_;  // spp_signature per path id
-  std::map<std::string, std::vector<int>> base_rankings_;
-  std::vector<int> suffix_pid_;  // permitted-suffix path id, or -1
-  std::map<std::pair<int, int>, std::size_t> base_pair_to_index_;
+  // The instance's path ids, their spec signatures, and the base
+  // constraints evaluate() diffs against (see class comment).
+  const spp::PathIndex index_;
+  std::vector<std::string> signatures_;  // by path id
+  std::map<std::string, PathId> path_of_signature_;
+  std::map<std::pair<PathId, PathId>, std::size_t> base_pair_to_index_;
   std::vector<char> consumed_;  // scratch buffer for the per-candidate diff
   std::set<std::string> cores_seen_;
 };

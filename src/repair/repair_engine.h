@@ -135,7 +135,7 @@ struct RepairReport {
   std::size_t oracle_groups_encoded = 0;
   std::size_t oracle_cache_hits = 0;
   /// Wall time of the WHOLE repair call — search setup (spec translation,
-  /// path interning, lazily built sessions) included, so borrowed-session
+  /// the path index, lazily built sessions) included, so borrowed-session
   /// and self-built runs measure the same thing.
   double wall_ms = 0.0;
 

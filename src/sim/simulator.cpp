@@ -4,7 +4,6 @@
 #include <functional>
 #include <optional>
 #include <queue>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
+#include "spp/path_index.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -22,13 +22,13 @@ namespace {
 using spp::Path;
 using spp::SppInstance;
 
-using NodeId = std::uint32_t;
-using PathId = std::uint32_t;
+using NodeId = spp::PathIndex::NodeId;
+using PathId = spp::PathIndex::PathId;
 using LinkId = std::uint32_t;
 
 /// "No node" (an event without a second endpoint), "no path" (an empty
 /// adj-rib-in slot, a withdrawal, no selection) and "no suffix" alike.
-constexpr std::uint32_t k_none = ~std::uint32_t{0};
+constexpr std::uint32_t k_none = spp::PathIndex::k_none;
 
 // -- hashing primitives -------------------------------------------------------
 //
@@ -87,12 +87,12 @@ std::uint64_t entry_hash(char tag, std::uint32_t a, std::uint32_t b,
   return avalanche(h ^ ((std::uint64_t{c} << 32) | d));
 }
 
-/// The instance interned to dense ids, built once per simulate() call and
-/// shared by every replica. Node ids follow sorted-name order, so every
-/// neighbour order and node order of the protocol is the name order; links
-/// follow edges() order, the order the schedule draws per-link delays and
-/// the churn pick in; permitted paths are interned by content (an instance
-/// may list a path twice), so path equality is id equality.
+/// The instance's ids plus the links the simulator adds, built once per
+/// simulate() call and shared by every replica. Node and path ids are
+/// spp::PathIndex's: node ids follow sorted-name order, so every neighbour
+/// order and node order of the protocol is the name order, and path
+/// equality is id equality. Links follow edges() order, the order the
+/// schedule draws per-link delays and the churn pick in.
 struct View {
   struct Adjacent {
     NodeId peer;
@@ -105,30 +105,19 @@ struct View {
     std::uint32_t rib_v = 0;  // v's adj-rib-in entry for u
   };
   struct PathInfo {
-    const Path* path;  // the instance's node sequence, for rendering
-    NodeId next_hop;
-    PathId suffix;      // the path minus its source if permitted, else k_none
     std::uint32_t rib;  // the source's adj-rib-in entry for the next hop
     LinkId link;        // the first hop's link
-    bool direct;        // a one-hop path to the destination
   };
 
-  explicit View(const SppInstance& spp) : instance(spp), names(spp.nodes()) {
-    const auto at =
-        std::lower_bound(names.begin(), names.end(), spp.destination());
-    destination = static_cast<NodeId>(at - names.begin());
-    names.insert(at, spp.destination());
-    std::unordered_map<std::string_view, NodeId> id_of;
-    for (NodeId id = 0; id < names.size(); ++id) id_of.emplace(names[id], id);
-
-    adjacency.resize(names.size());
+  explicit View(const SppInstance& spp) : instance(spp), index(spp) {
+    adjacency.resize(index.node_count());
     for (const auto& [u, v] : spp.edges()) {
-      const Link link{id_of.at(u), id_of.at(v)};
+      const Link link{*index.node(u), *index.node(v)};
       adjacency[link.u].push_back({link.v, static_cast<LinkId>(links.size())});
       adjacency[link.v].push_back({link.u, static_cast<LinkId>(links.size())});
       links.push_back(link);
     }
-    for (NodeId node = 0; node < names.size(); ++node) {
+    for (NodeId node = 0; node < index.node_count(); ++node) {
       std::sort(adjacency[node].begin(), adjacency[node].end(),
                 [](const Adjacent& x, const Adjacent& y) {
                   return x.peer < y.peer;
@@ -138,36 +127,16 @@ struct View {
         (link.u == node ? link.rib_u : link.rib_v) = rib_size++;
       }
     }
-
-    // Interned by hop-id content: a suffix has an id only if the next hop
-    // permits it, and only then can the next hop ever advertise it.
-    std::unordered_map<std::u32string, PathId> interned;
-    std::vector<const std::u32string*> keys;
-    permitted.resize(names.size());
-    for (NodeId node = 0; node < names.size(); ++node) {
-      if (node == destination) continue;
-      for (const Path& path : spp.permitted(names[node])) {
-        std::u32string key;
-        for (const std::string& hop : path) key.push_back(id_of.at(hop));
-        const auto [it, fresh] =
-            interned.emplace(std::move(key), static_cast<PathId>(paths.size()));
-        if (fresh) {
-          const NodeId next = it->first[1];
-          const LinkId link =
-              std::lower_bound(adjacency[node].begin(), adjacency[node].end(),
-                               next, [](const Adjacent& x, NodeId peer) {
-                                 return x.peer < peer;
-                               })->link;
-          paths.push_back(PathInfo{&path, next, k_none, rib_entry(link, node),
-                                   link, path.size() == 2});
-          keys.push_back(&it->first);
-        }
-        permitted[node].push_back(it->second);
-      }
-    }
-    for (PathId id = 0; id < paths.size(); ++id) {
-      const auto it = interned.find(keys[id]->substr(1));
-      if (it != interned.end()) paths[id].suffix = it->second;
+    paths.reserve(index.path_count());
+    for (PathId id = 0; id < index.path_count(); ++id) {
+      const NodeId node = index.source(id);
+      const LinkId link =
+          std::lower_bound(adjacency[node].begin(), adjacency[node].end(),
+                           index.next_hop(id),
+                           [](const Adjacent& x, NodeId peer) {
+                             return x.peer < peer;
+                           })->link;
+      paths.push_back(PathInfo{rib_entry(link, node), link});
     }
   }
 
@@ -177,13 +146,11 @@ struct View {
   }
 
   const SppInstance& instance;
-  std::vector<std::string> names;  // node id -> name, sorted
-  NodeId destination = 0;
+  const spp::PathIndex index;
   std::vector<Link> links;                       // edges() order
   std::vector<std::vector<Adjacent>> adjacency;  // by peer id
   std::uint32_t rib_size = 0;                    // adj-rib-in entries
-  std::vector<PathInfo> paths;
-  std::vector<std::vector<PathId>> permitted;  // node -> ranked path ids
+  std::vector<PathInfo> paths;                   // by path id
 };
 
 /// One scheduled event: plain ids. `seq` is the global insertion counter:
@@ -255,9 +222,9 @@ class Machine {
         delay_(view.links.size()),
         epoch_(view.links.size(), 0),
         down_(view.links.size(), 0),
-        selections_(view.names.size(), k_none),
+        selections_(view.index.node_count(), k_none),
         rib_(view.rib_size, k_none),
-        timers_(view.names.size()) {
+        timers_(view.index.node_count()) {
     util::Rng rng(options.seed);
     for (std::uint64_t& delay : delay_) {
       delay = static_cast<std::uint64_t>(rng.uniform_int(
@@ -365,8 +332,8 @@ class Machine {
       for (NodeId node = 0; node < selections_.size(); ++node) {
         if (selections_[node] == k_none) continue;
         result.final_assignment.emplace_hint(
-            result.final_assignment.end(), view_.names[node],
-            *view_.paths[selections_[node]].path);
+            result.final_assignment.end(), view_.index.name(node),
+            view_.index.path(selections_[node]));
       }
       result.fixed_point_stable =
           spp::is_stable_assignment(view_.instance, result.final_assignment);
@@ -385,9 +352,10 @@ class Machine {
       ++scheduled_remaining_;
     };
     const bool staged = options_.scenario == "staged";
-    const auto window = static_cast<std::int64_t>(3 * (view_.names.size() - 1));
-    for (NodeId node = 0; node < view_.names.size(); ++node) {
-      if (node == view_.destination) continue;
+    const auto window =
+        static_cast<std::int64_t>(3 * (view_.index.node_count() - 1));
+    for (NodeId node = 0; node < view_.index.node_count(); ++node) {
+      if (node == view_.index.destination()) continue;
       schedule(staged ? static_cast<std::uint64_t>(rng.uniform_int(0, window))
                       : 0,
                Event::Kind::activate, node);
@@ -477,7 +445,7 @@ class Machine {
   /// `node` forgets everything it heard over `link` and re-selects (a
   /// selection change propagates to its other neighbours as usual).
   void sever(NodeId node, LinkId link) {
-    if (node == view_.destination) return;
+    if (node == view_.index.destination()) return;
     set_rib(view_.rib_entry(link, node), k_none);
     activate(node);
   }
@@ -494,7 +462,10 @@ class Machine {
   /// (or an explicit withdrawal) so the peer's adj-rib-in repopulates —
   /// subject to the suppression policy like any other advertisement.
   void reestablish(NodeId node, NodeId peer, LinkId link) {
-    if (node == view_.destination || peer == view_.destination) return;
+    if (node == view_.index.destination() ||
+        peer == view_.index.destination()) {
+      return;
+    }
     send_policy(node, peer, link, selections_[node]);
   }
 
@@ -502,7 +473,7 @@ class Machine {
   /// advertises (directly or behind the MRAI timer). Returns true when the
   /// selection changed.
   bool activate(NodeId node) {
-    if (node == view_.destination) return false;
+    if (node == view_.index.destination()) return false;
     const PathId best = select(node);
     PathId& current = selections_[node];
     if (best == current) return false;
@@ -520,12 +491,14 @@ class Machine {
   /// exactly what the next hop advertised (spp::best_consistent_choice on
   /// the advertised view, plus the down-link filter that churn needs).
   PathId select(NodeId node) const {
-    for (const PathId candidate : view_.permitted[node]) {
+    for (const PathId candidate : view_.index.ranked(node)) {
       const View::PathInfo& info = view_.paths[candidate];
       if (down_[info.link] != 0) continue;
-      if (info.direct) return candidate;
+      if (view_.index.direct(candidate)) return candidate;
       const PathId heard = rib_[info.rib];
-      if (heard != k_none && heard == info.suffix) return candidate;
+      if (heard != k_none && heard == view_.index.suffix(candidate)) {
+        return candidate;
+      }
     }
     return k_none;
   }
@@ -556,7 +529,7 @@ class Machine {
   void flush(NodeId node) {
     const PathId selection = selections_[node];
     for (const View::Adjacent& adjacent : view_.adjacency[node]) {
-      if (adjacent.peer == view_.destination) continue;
+      if (adjacent.peer == view_.index.destination()) continue;
       if (down_[adjacent.link] != 0) continue;
       send_policy(node, adjacent.peer, adjacent.link, selection);
     }
@@ -573,7 +546,7 @@ class Machine {
   /// sends an explicit withdrawal; everyone else gets the selection.
   void send_policy(NodeId from, NodeId to, LinkId link, PathId selection) {
     const bool toward_next_hop =
-        selection != k_none && view_.paths[selection].next_hop == to;
+        selection != k_none && view_.index.next_hop(selection) == to;
     if (toward_next_hop && suppression_ == Suppression::split_horizon) return;
     if (toward_next_hop && suppression_ == Suppression::poisoned_reverse) {
       selection = k_none;
@@ -696,16 +669,15 @@ class Machine {
     line += ' ';
     line += kind_name(event.kind);
     line += ' ';
-    line += view_.names[event.a];
+    line += view_.index.name(event.a);
     if (event.b != k_none) {
       line += '>';
-      line += view_.names[event.b];
+      line += view_.index.name(event.b);
     }
     if (event.kind == Event::Kind::deliver) {
       line += ' ';
-      line += event.path != k_none
-                  ? spp::path_name(*view_.paths[event.path].path)
-                  : std::string("withdraw");
+      line += event.path != k_none ? view_.index.path_name(event.path)
+                                   : std::string("withdraw");
     }
     line += ' ';
     line += note;

@@ -16,12 +16,11 @@
 // wall clock or thread identity ever enters the state. Same instance + same
 // options => the same event trace, byte for byte, at any --threads value.
 //
-// The machine runs on ids: simulate() interns the instance once (node ids
-// in sorted-name order, links in edges() order, permitted paths by content)
-// into a view that every replica shares, and names return only when the
-// SimResult and the trace lines are assembled. Because the id orders are
-// the name orders, the ids change no neighbour order, RNG draw or event
-// sequence.
+// The machine runs on ids: simulate() builds one view that every replica
+// shares — spp::PathIndex's node ids (sorted-name order) and path ids, plus
+// links in edges() order — and names return only when the SimResult and
+// the trace lines are assembled. Because the id orders are the name
+// orders, the ids change no neighbour order, RNG draw or event sequence.
 //
 // Because the post-churn system is a deterministic transition system, the
 // classic SPVP divergence question becomes decidable in the simulator:

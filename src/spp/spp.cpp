@@ -90,7 +90,12 @@ void SppInstance::add_permitted_path(const Path& path) {
                             path[i + 1]);
     }
   }
-  permitted_[path.front()].push_back(path);
+  std::vector<Path>& ranked = permitted_[path.front()];
+  if (std::find(ranked.begin(), ranked.end(), path) != ranked.end()) {
+    throw InvalidArgument("permitted path " + path_name(path) +
+                          " is listed twice at " + path.front());
+  }
+  ranked.push_back(path);
 }
 
 std::vector<std::string> SppInstance::nodes() const {

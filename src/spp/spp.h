@@ -50,8 +50,10 @@ class SppInstance {
 
   /// Appends `path` to the permitted list of its source node (ranked:
   /// earlier calls are more preferred). Validates that the path starts at
-  /// a non-destination node, ends at the destination, is simple, and uses
-  /// declared edges. Throws fsr::InvalidArgument otherwise.
+  /// a non-destination node, ends at the destination, is simple, uses
+  /// declared edges, and is not already permitted there (a path's rank is
+  /// its identity: spp::PathIndex numbers paths by it). Throws
+  /// fsr::InvalidArgument otherwise.
   void add_permitted_path(const Path& path);
 
   /// All non-destination nodes, in deterministic (sorted) order.

@@ -18,6 +18,7 @@
 #include <string>
 
 #include "algebra/algebra.h"
+#include "spp/path_index.h"
 #include "spp/spp.h"
 
 namespace fsr::spp {
@@ -27,6 +28,9 @@ std::string spp_label(const std::string& u, const std::string& v);
 
 /// Signature constant for a permitted path.
 std::string spp_signature(const Path& path);
+
+/// spp_signature(index.path(id)), rendered straight from the index.
+std::string spp_signature(const PathIndex& index, PathIndex::PathId id);
 
 /// Builds the algebra of Section III-B for `instance` (counted in the
 /// "spp.translations" registry counter, timed by the "spp.translate" span).

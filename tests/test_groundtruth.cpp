@@ -481,6 +481,11 @@ TEST(StableSatSession, RejectsMalformedDeltas) {
   StableSatSession session(bad);
   RankingDelta unknown_node{"9", {}};
   EXPECT_THROW((void)session.analyze({unknown_node}, 4), InvalidArgument);
+  // The destination is a node of the instance but owns no ranking.
+  RankingDelta destination{"0", {}};
+  EXPECT_THROW((void)session.analyze({destination}, 4), InvalidArgument);
+  RankingDelta unknown_hop{"1", {{"1", "9", "0"}}};
+  EXPECT_THROW((void)session.analyze({unknown_hop}, 4), InvalidArgument);
   RankingDelta foreign_path{"1", {{"2", "3", "0"}}};
   EXPECT_THROW((void)session.analyze({foreign_path}, 4), InvalidArgument);
   RankingDelta duplicated{"1", {{"1", "0"}, {"1", "0"}}};

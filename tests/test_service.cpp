@@ -264,6 +264,12 @@ TEST(Wire, SchemaViolationsThrow) {
       wire::parse_request(
           R"({"kind": "ground-truth", "gadget": "bad", "mode": "magic"})"),
       InvalidArgument);
+  // A path listed twice at its source has no single rank.
+  EXPECT_THROW(wire::parse_request(
+                   R"({"kind": "analyze-safety", "spp": {"edges": )"
+                   R"([["a", "0"], ["b", "0"]], "paths": )"
+                   R"([["a", "0"], ["a", "0"], ["b", "0"]]}})"),
+               InvalidArgument);
   // Random sizes must fit the sweep's int32 fields, not wrap (4294967300
   // once became a 4-node instance).
   EXPECT_THROW(wire::parse_request(

@@ -1,13 +1,19 @@
 // Tests for the SPP substrate: instance validation, the gadget library's
-// ground-truth stable-state structure, the asynchronous SPVP simulator,
-// and the SPP -> algebra translation of Section III-B (including the
-// paper's eighteen-constraint Figure-3 encoding).
+// ground-truth stable-state structure, the path index against a
+// name-based reference, and the SPP -> algebra translation of Section
+// III-B (including the paper's eighteen-constraint Figure-3 encoding).
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
 
 #include "algebra/finite_algebra.h"
 #include "spp/gadgets.h"
+#include "spp/path_index.h"
+#include "spp/random_instance.h"
 #include "spp/spp.h"
 #include "spp/translate.h"
+#include "topology/rocketfuel.h"
 #include "util/error.h"
 
 namespace fsr::spp {
@@ -26,6 +32,22 @@ TEST(SppInstance, ValidatesPaths) {
   EXPECT_THROW(instance.add_permitted_path({"1", "1", "0"}), InvalidArgument);
   instance.add_permitted_path({"1", "0"});
   EXPECT_EQ(instance.permitted("1").size(), 1u);
+}
+
+TEST(SppInstance, RejectsAPathListedTwice) {
+  SppInstance instance("t");
+  instance.add_edge("a", "0");
+  instance.add_edge("b", "0");
+  instance.add_permitted_path({"a", "0"});
+  try {
+    instance.add_permitted_path({"a", "0"});
+    ADD_FAILURE() << "a duplicate path was accepted";
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(), "permitted path a-0 is listed twice at a");
+  }
+  instance.add_permitted_path({"b", "0"});
+  EXPECT_EQ(instance.permitted("a").size(), 1u);
+  EXPECT_EQ(instance.permitted_path_count(), 2u);
 }
 
 TEST(SppInstance, RankOfReflectsInsertionOrder) {
@@ -147,6 +169,83 @@ TEST(StableStates, BudgetedScanNamesTheExhaustedBudget) {
   EXPECT_STREQ(to_string(EnumerationStop::state_budget), "state-budget");
   EXPECT_STREQ(to_string(EnumerationStop::solution_budget),
                "solution-budget");
+}
+
+// ---------------------------------------------------------- path index --
+
+/// Checks `instance`'s PathIndex against a reference built from names
+/// alone: nodes(), permitted() and rank_of.
+void expect_index_matches_reference(const SppInstance& instance) {
+  SCOPED_TRACE(instance.name());
+  const PathIndex index(instance);
+
+  std::vector<std::string> names = instance.nodes();
+  names.push_back(instance.destination());
+  std::sort(names.begin(), names.end());
+  ASSERT_EQ(index.node_count(), names.size());
+  EXPECT_EQ(index.name(index.destination()), instance.destination());
+  std::map<std::string, PathIndex::PathId> first_path;
+  PathIndex::PathId next = 0;
+  for (PathIndex::NodeId id = 0; id < names.size(); ++id) {
+    EXPECT_EQ(index.name(id), names[id]);
+    EXPECT_EQ(index.node(names[id]), id);
+    first_path[names[id]] = next;
+    next += static_cast<PathIndex::PathId>(
+        instance.permitted(names[id]).size());
+  }
+  EXPECT_EQ(index.node("?"), std::nullopt);
+  ASSERT_EQ(index.path_count(), instance.permitted_path_count());
+
+  for (PathIndex::NodeId id = 0; id < names.size(); ++id) {
+    const std::vector<Path>& permitted = instance.permitted(names[id]);
+    const auto ranked = index.ranked(id);
+    ASSERT_EQ(ranked.size(), permitted.size()) << names[id];
+    for (std::size_t rank = 0; rank < permitted.size(); ++rank) {
+      const Path& path = permitted[rank];
+      const PathIndex::PathId pid = ranked[rank];
+      EXPECT_EQ(pid, first_path[names[id]] + rank);
+      EXPECT_EQ(index.path(pid), path);
+      EXPECT_EQ(index.path_name(pid), path_name(path));
+      EXPECT_EQ(index.source(pid), id);
+      EXPECT_EQ(index.direct(pid), path.size() == 2);
+      EXPECT_EQ(index.find(path), pid);
+
+      std::optional<PathIndex::PathId> suffix;
+      const Path rest(path.begin() + 1, path.end());
+      if (const auto suffix_rank = instance.rank_of(rest)) {
+        suffix = first_path[rest.front()] +
+                 static_cast<PathIndex::PathId>(*suffix_rank);
+      }
+      EXPECT_EQ(index.suffix(pid), suffix.value_or(PathIndex::k_none));
+      EXPECT_EQ(index.find(rest), suffix);  // nullopt when not permitted
+
+      Path through_unknown = path;
+      through_unknown[path.size() / 2] = "?";
+      EXPECT_EQ(index.find(through_unknown), std::nullopt);
+    }
+  }
+  EXPECT_EQ(index.find({}), std::nullopt);
+}
+
+TEST(PathIndex, MatchesANaiveReference) {
+  for (const SppInstance& gadget : {good_gadget(), bad_gadget(),
+                                    disagree_gadget(), ibgp_figure3_gadget()}) {
+    expect_index_matches_reference(gadget);
+  }
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    expect_index_matches_reference(random_spp_instance(
+        "random-" + std::to_string(seed), seed, RandomSppSweep{}));
+  }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const bool gadget : {false, true}) {
+      topology::RocketfuelParams params;
+      params.seed = seed;
+      params.embed_gadget = gadget;
+      params.paths_per_egress = 4;
+      expect_index_matches_reference(
+          topology::build_rocketfuel_ibgp(params).instance);
+    }
+  }
 }
 
 // --------------------------------------------------------- translation --
