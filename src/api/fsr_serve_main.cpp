@@ -252,8 +252,12 @@ int main(int argc, char** argv) {
       pending.front().wait();
       flush_ready(false);  // the front is ready: writes at least one
     }
+    // One parse per line: the request and (on failure) the kind
+    // attribution read the same tree.
+    std::optional<json::Value> body;
     try {
-      Request request = wire::parse_request(line);
+      body = json::parse(line);
+      Request request = wire::parse_request(*body);
       if (std::holds_alternative<StatsRequest>(request) ||
           std::holds_alternative<DebugRequest>(request)) {
         // Introspection is a stream barrier: drain everything submitted
@@ -268,17 +272,10 @@ int main(int argc, char** argv) {
       // line, WITHOUT touching the service — a synthetic ready future
       // keeps the stream flowing while earlier requests still compute.
       Response response;
-      try {
-        // Best-effort kind attribution when the line at least parsed.
-        const json::Value body = json::parse(line);
-        if (const json::Value* kind_value = body.find("kind")) {
-          if (const auto kind =
-                  parse_request_kind(kind_value->as_string("kind"))) {
-            response.kind = *kind;
-          }
-        }
-      } catch (...) {
-        // Not even JSON: the default kind stands; the error text explains.
+      // Best-effort kind attribution when the line at least parsed; not
+      // even JSON, the default kind stands and the error text explains.
+      if (body.has_value()) {
+        if (const auto kind = wire::named_kind(*body)) response.kind = *kind;
       }
       response.error = "line " + std::to_string(line_number) + ": " +
                        error.what();

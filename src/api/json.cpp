@@ -4,7 +4,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 
+#include "obs/metrics.h"
 #include "util/error.h"
 
 namespace fsr::api::json {
@@ -139,14 +141,16 @@ class Parser {
 
   Value parse_array() {
     expect('[');
-    std::vector<Value> items;
     skip_whitespace();
     if (peek() == ']') {
       ++at_;
-      return Value::make_array(std::move(items));
+      return Value::make_array({});
     }
+    // Items collect on one stack shared by every nesting level, so each
+    // array allocates once, at its final size.
+    const std::size_t base = pending_.size();
     while (true) {
-      items.push_back(parse_value());
+      pending_.push_back(parse_value());
       skip_whitespace();
       const char c = peek();
       if (c == ',') {
@@ -155,6 +159,10 @@ class Parser {
       }
       if (c == ']') {
         ++at_;
+        const auto first = pending_.begin() + static_cast<std::ptrdiff_t>(base);
+        std::vector<Value> items(std::make_move_iterator(first),
+                                 std::make_move_iterator(pending_.end()));
+        pending_.erase(first, pending_.end());
         return Value::make_array(std::move(items));
       }
       fail("expected ',' or ']' in array");
@@ -165,16 +173,19 @@ class Parser {
     expect('"');
     std::string out;
     while (true) {
+      // Plain bytes up to the next quote, escape or control character go
+      // over in one append.
+      std::size_t run = at_;
+      while (run < text_.size() && text_[run] != '"' && text_[run] != '\\' &&
+             static_cast<unsigned char>(text_[run]) >= 0x20) {
+        ++run;
+      }
+      out.append(text_, at_, run - at_);
+      at_ = run;
       if (at_ >= text_.size()) fail("unterminated string");
       const char c = text_[at_++];
       if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character in string");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
+      if (c != '\\') fail("raw control character in string");
       if (at_ >= text_.size()) fail("unterminated escape");
       const char escape = text_[at_++];
       switch (escape) {
@@ -278,46 +289,56 @@ class Parser {
   const std::string& text_;
   std::size_t depth_ = 0;  // open arrays/objects around the cursor
   std::size_t at_ = 0;
+  std::vector<Value> pending_;  // items of the open arrays, innermost last
 };
 
 }  // namespace
 
 bool Value::as_bool(const std::string& where) const {
-  if (type_ != Type::boolean) type_error(where, "boolean", type_);
-  return bool_;
+  const bool* value = std::get_if<bool>(&data_);
+  if (value == nullptr) type_error(where, "boolean", type());
+  return *value;
 }
 
 double Value::as_number(const std::string& where) const {
-  if (type_ != Type::number) type_error(where, "number", type_);
-  return number_;
+  const Number* number = std::get_if<Number>(&data_);
+  if (number == nullptr) type_error(where, "number", type());
+  return number->value;
 }
 
 std::uint64_t Value::as_u64(const std::string& where) const {
-  if (type_ != Type::number || !integral_) {
-    type_error(where, "non-negative integer", type_);
+  const Number* number = std::get_if<Number>(&data_);
+  if (number == nullptr || !number->integral) {
+    type_error(where, "non-negative integer", type());
   }
-  return integer_;
+  return number->integer;
 }
 
 const std::string& Value::as_string(const std::string& where) const {
-  if (type_ != Type::string) type_error(where, "string", type_);
-  return string_;
+  const std::string* text = std::get_if<std::string>(&data_);
+  if (text == nullptr) type_error(where, "string", type());
+  return *text;
 }
 
 const std::vector<Value>& Value::as_array(const std::string& where) const {
-  if (type_ != Type::array) type_error(where, "array", type_);
-  return items_;
+  const auto* items = std::get_if<std::vector<Value>>(&data_);
+  if (items == nullptr) type_error(where, "array", type());
+  return *items;
 }
 
 const std::vector<std::pair<std::string, Value>>& Value::as_object(
     const std::string& where) const {
-  if (type_ != Type::object) type_error(where, "object", type_);
-  return members_;
+  const auto* members =
+      std::get_if<std::vector<std::pair<std::string, Value>>>(&data_);
+  if (members == nullptr) type_error(where, "object", type());
+  return *members;
 }
 
 const Value* Value::find(const std::string& key) const noexcept {
-  if (type_ != Type::object) return nullptr;
-  for (const auto& [name, value] : members_) {
+  const auto* members =
+      std::get_if<std::vector<std::pair<std::string, Value>>>(&data_);
+  if (members == nullptr) return nullptr;
+  for (const auto& [name, value] : *members) {
     if (name == key) return &value;
   }
   return nullptr;
@@ -327,41 +348,38 @@ Value Value::make_null() { return Value(); }
 
 Value Value::make_bool(bool value) {
   Value out;
-  out.type_ = Type::boolean;
-  out.bool_ = value;
+  out.data_ = value;
   return out;
 }
 
 Value Value::make_number(double value, bool integral, std::uint64_t integer) {
   Value out;
-  out.type_ = Type::number;
-  out.number_ = value;
-  out.integral_ = integral;
-  out.integer_ = integer;
+  out.data_ = Number{value, integer, integral};
   return out;
 }
 
 Value Value::make_string(std::string value) {
   Value out;
-  out.type_ = Type::string;
-  out.string_ = std::move(value);
+  out.data_ = std::move(value);
   return out;
 }
 
 Value Value::make_array(std::vector<Value> items) {
   Value out;
-  out.type_ = Type::array;
-  out.items_ = std::move(items);
+  out.data_ = std::move(items);
   return out;
 }
 
 Value Value::make_object(std::vector<std::pair<std::string, Value>> members) {
   Value out;
-  out.type_ = Type::object;
-  out.members_ = std::move(members);
+  out.data_ = std::move(members);
   return out;
 }
 
-Value parse(const std::string& text) { return Parser(text).run(); }
+Value parse(const std::string& text) {
+  static obs::Counter& parses = obs::registry().counter("api.json.parses");
+  parses.add(1);
+  return Parser(text).run();
+}
 
 }  // namespace fsr::api::json

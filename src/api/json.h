@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 namespace fsr::api::json {
@@ -34,8 +35,8 @@ class Value {
  public:
   enum class Type { null, boolean, number, string, array, object };
 
-  Type type() const noexcept { return type_; }
-  bool is_null() const noexcept { return type_ == Type::null; }
+  Type type() const noexcept { return static_cast<Type>(data_.index()); }
+  bool is_null() const noexcept { return type() == Type::null; }
 
   /// Typed getters throw fsr::InvalidArgument on a type mismatch, naming
   /// `where` (usually the field being read) in the message.
@@ -62,14 +63,17 @@ class Value {
   static Value make_object(std::vector<std::pair<std::string, Value>> members);
 
  private:
-  Type type_ = Type::null;
-  bool bool_ = false;
-  double number_ = 0.0;
-  bool integral_ = false;
-  std::uint64_t integer_ = 0;
-  std::string string_;
-  std::vector<Value> items_;
-  std::vector<std::pair<std::string, Value>> members_;
+  struct Number {
+    double value = 0.0;
+    std::uint64_t integer = 0;
+    bool integral = false;
+  };
+  // One alternative per Type, in Type's order: the active index IS the
+  // type, so a node is one string-sized payload plus its tag, and holds
+  // only the container it uses.
+  std::variant<std::monostate, bool, Number, std::string, std::vector<Value>,
+               std::vector<std::pair<std::string, Value>>>
+      data_;
 };
 
 /// Deepest array/object nesting parse() accepts. Wire requests nest a few
@@ -79,7 +83,8 @@ inline constexpr std::size_t k_max_depth = 128;
 
 /// Parses exactly one JSON value from `text` (surrounding whitespace
 /// allowed, trailing garbage rejected). Throws fsr::InvalidArgument on any
-/// syntax error and on nesting deeper than k_max_depth.
+/// syntax error and on nesting deeper than k_max_depth. Every call counts
+/// into the "api.json.parses" registry counter.
 Value parse(const std::string& text);
 
 }  // namespace fsr::api::json

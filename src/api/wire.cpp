@@ -31,6 +31,11 @@ algebra::AlgebraPtr policy_by_name(const std::string& name) {
 }
 
 spp::SppInstance inline_spp(const json::Value& value) {
+  // Field names for the per-edge and per-hop reads, built once.
+  static const std::string k_edge = "spp edge";
+  static const std::string k_edge_node = "spp edge node";
+  static const std::string k_path = "spp path";
+  static const std::string k_hop = "spp path hop";
   const json::Value* name = value.find("name");
   const json::Value* destination = value.find("destination");
   spp::SppInstance instance(
@@ -40,21 +45,23 @@ spp::SppInstance inline_spp(const json::Value& value) {
   const json::Value* edges = value.find("edges");
   if (edges == nullptr) throw InvalidArgument("spp payload needs edges");
   for (const json::Value& edge : edges->as_array("spp.edges")) {
-    const auto& pair = edge.as_array("spp edge");
+    const auto& pair = edge.as_array(k_edge);
     if (pair.size() != 2) {
       throw InvalidArgument("spp edge must be a [u, v] pair");
     }
-    instance.add_edge(pair[0].as_string("spp edge node"),
-                      pair[1].as_string("spp edge node"));
+    instance.add_edge(pair[0].as_string(k_edge_node),
+                      pair[1].as_string(k_edge_node));
   }
   const json::Value* paths = value.find("paths");
   if (paths == nullptr) throw InvalidArgument("spp payload needs paths");
   for (const json::Value& path : paths->as_array("spp.paths")) {
+    const auto& items = path.as_array(k_path);
     spp::Path hops;
-    for (const json::Value& hop : path.as_array("spp path")) {
-      hops.push_back(hop.as_string("spp path hop"));
+    hops.reserve(items.size());
+    for (const json::Value& hop : items) {
+      hops.push_back(hop.as_string(k_hop));
     }
-    instance.add_permitted_path(hops);
+    instance.add_permitted_path(std::move(hops));
   }
   return instance;
 }
@@ -330,8 +337,7 @@ void append_emulation(std::string& out, const EmulationResult& emu) {
 
 }  // namespace
 
-Request parse_request(const std::string& line) {
-  const json::Value body = json::parse(line);
+Request parse_request(const json::Value& body) {
   const json::Value* kind_value = body.find("kind");
   if (kind_value == nullptr) {
     throw InvalidArgument("request needs a kind");
@@ -420,6 +426,19 @@ Request parse_request(const std::string& line) {
       break;  // handled above (payload-free)
   }
   throw InvalidArgument("unknown request kind");
+}
+
+Request parse_request(const std::string& line) {
+  return parse_request(json::parse(line));
+}
+
+std::optional<RequestKind> named_kind(const json::Value& body) {
+  const json::Value* kind_value = body.find("kind");
+  if (kind_value == nullptr ||
+      kind_value->type() != json::Value::Type::string) {
+    return std::nullopt;
+  }
+  return parse_request_kind(kind_value->as_string("kind"));
 }
 
 std::string render_response(const Response& response,

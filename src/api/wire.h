@@ -57,15 +57,25 @@
 #ifndef FSR_API_WIRE_H
 #define FSR_API_WIRE_H
 
+#include <optional>
 #include <string>
 
+#include "api/json.h"
 #include "api/request.h"
 
 namespace fsr::api::wire {
 
-/// Parses one request line; throws fsr::InvalidArgument on malformed JSON
-/// or schema violations (fsr_serve answers those with an error response).
+/// Decodes one parsed request object; throws fsr::InvalidArgument on
+/// schema violations (fsr_serve answers those with an error response).
+Request parse_request(const json::Value& body);
+
+/// Parses one request line and decodes it: parse_request(json::parse(line)).
+/// Throws fsr::InvalidArgument on malformed JSON too.
 Request parse_request(const std::string& line);
+
+/// The request kind `body` names as a known kind string, else nullopt:
+/// the best-effort kind attribution of an in-band error response.
+std::optional<RequestKind> named_kind(const json::Value& body);
 
 struct RenderOptions {
   /// Adds the scheduling-dependent provenance fields. Output is then no

@@ -4,7 +4,6 @@
 #include <variant>
 
 #include "api/json.h"
-#include "util/error.h"
 
 namespace fsr::netserve {
 
@@ -62,64 +61,52 @@ void Connection::accept_line(std::string line, bool oversized) {
     // The content is long gone (the framer dropped it unbuffered); all
     // that can be answered is the bound itself, in-band like any other
     // per-line failure.
-    slot.state = Slot::State::done;
-    slot.response.error =
-        "line " + std::to_string(line_number_) + ": request line exceeds " +
-        std::to_string(framer_.max_line_bytes()) + "-byte limit";
-    slots_.push_back(std::move(slot));
+    reject(slot, "request line exceeds " +
+                     std::to_string(framer_.max_line_bytes()) + "-byte limit");
     return;
   }
 
-  // Transport-level request id: an optional client-chosen unsigned
-  // integer, echoed on the response and opting this line into
-  // out-of-order completion. Extracted before the request parse so even
-  // a schema-invalid request (answered in-band below) echoes its id.
-  bool json_ok = false;
-  std::string id_error;
+  // One parse per line: the client id, the request and (on failure) the
+  // kind attribution all read the same tree.
+  api::json::Value body;
   try {
-    const api::json::Value body = api::json::parse(line);
-    json_ok = true;
+    body = api::json::parse(line);
+  } catch (const std::exception& error) {
+    // Not even JSON: the default kind stands; the error text explains.
+    reject(slot, error.what());
+    return;
+  }
+  try {
+    // Transport-level request id: an optional client-chosen unsigned
+    // integer, echoed on the response and opting this line into
+    // out-of-order completion. Read before the request decode so even a
+    // schema-invalid request (answered in-band below) echoes its id. A
+    // malformed id (fractional, negative, non-numeric) is answered in-band
+    // too: parse_request ignores unknown keys, and silently dropping the
+    // client's correlation id would be worse.
     if (const api::json::Value* id_value = body.find("id")) {
       slot.client_id = id_value->as_u64("id");
       slot.has_client_id = true;
     }
-  } catch (const std::exception& error) {
-    // Unparseable JSON falls through to parse_request, which answers with
-    // the real parse error. A line that DID parse but carries a malformed
-    // id (fractional, negative, non-numeric) fails here and is answered
-    // below — parse_request would accept it (unknown keys are ignored),
-    // and silently dropping the client's correlation id would be worse.
-    if (json_ok) id_error = error.what();
-  }
-
-  try {
-    if (!id_error.empty()) throw InvalidArgument(id_error);
-    slot.request = api::wire::parse_request(line);
+    slot.request = api::wire::parse_request(body);
     slot.barrier = std::holds_alternative<api::StatsRequest>(slot.request) ||
                    std::holds_alternative<api::DebugRequest>(slot.request);
     slots_.push_back(std::move(slot));
-    return;
   } catch (const std::exception& error) {
-    // Mirror the stdin front-end byte for byte: one in-band error response
-    // per failing line, "line N: " prefix, best-effort kind attribution,
-    // the service never touched.
-    try {
-      const api::json::Value body = api::json::parse(line);
-      if (const api::json::Value* kind_value = body.find("kind")) {
-        if (const auto kind =
-                api::parse_request_kind(kind_value->as_string("kind"))) {
-          slot.response.kind = *kind;
-        }
-      }
-    } catch (...) {
-      // Not even JSON: the default kind stands; the error text explains.
+    if (const auto kind = api::wire::named_kind(body)) {
+      slot.response.kind = *kind;
     }
-    const std::string& what = id_error.empty() ? error.what() : id_error;
-    slot.response.error =
-        "line " + std::to_string(line_number_) + ": " + what;
-    slot.state = Slot::State::done;
-    slots_.push_back(std::move(slot));
+    reject(slot, error.what());
   }
+}
+
+void Connection::reject(Slot& slot, const std::string& what) {
+  // Mirror the stdin front-end byte for byte: one in-band error response
+  // per failing line, "line N: " prefix, best-effort kind attribution,
+  // the service never touched.
+  slot.response.error = "line " + std::to_string(line_number_) + ": " + what;
+  slot.state = Slot::State::done;
+  slots_.push_back(std::move(slot));
 }
 
 void Connection::pump() {

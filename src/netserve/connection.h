@@ -112,6 +112,7 @@ class Connection {
   };
 
   void accept_line(std::string line, bool oversized);
+  void reject(Slot& slot, const std::string& what);  // in-band error answer
   void pump();               // submit eligible queued slots, in slot order
   void emit_ready();         // move done slots into the output buffer
   void emit(Slot& slot);

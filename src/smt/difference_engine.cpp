@@ -1,6 +1,7 @@
 #include "smt/difference_engine.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <queue>
 
@@ -168,34 +169,53 @@ bool IncrementalDiffEngine::add(const DiffConstraint& constraint) {
   const std::int64_t slack = potentials_[u] + constraint.bound - potentials_[v];
   if (slack >= 0) return true;
 
-  // Cotton-Maler repair: Dijkstra on reduced costs from the edge's target.
-  // gamma[x] is the (negative) amount potentials_[x] must still decrease;
-  // popping the edge's *source* with a negative gamma means the new edge
-  // closes a negative cycle.
-  const std::size_t n = potentials_.size();
-  std::vector<std::int64_t> gamma(n, 0);
-  std::vector<std::int32_t> parent_edge(n, -1);
-  std::vector<char> settled(n, 0);
-  using QueueEntry = std::pair<std::int64_t, std::size_t>;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      queue;
-  gamma[v] = slack;
-  parent_edge[v] = edge_index;
-  queue.emplace(slack, v);
+  const bool repaired = repair(u, v, slack, edge_index);
+  // Only the entries this repair wrote need clearing for the next one.
+  for (const std::size_t x : touched_) {
+    gamma_[x] = 0;
+    parent_edge_[x] = -1;
+    settled_[x] = 0;
+  }
+  touched_.clear();
+  return repaired;
+}
 
-  while (!queue.empty()) {
-    const auto [g, s] = queue.top();
-    queue.pop();
-    if (settled[s] != 0 || g != gamma[s]) continue;  // stale entry
-    if (gamma[s] >= 0) break;
+bool IncrementalDiffEngine::repair(std::size_t u, std::size_t v,
+                                   std::int64_t slack,
+                                   std::int32_t edge_index) {
+  // Cotton-Maler repair: Dijkstra on reduced costs from the edge's target.
+  // gamma_[x] is the (negative) amount potentials_[x] must still decrease;
+  // popping the edge's *source* with a negative gamma means the new edge
+  // closes a negative cycle. The scratch arrays arrive all clear.
+  const std::size_t n = potentials_.size();
+  if (gamma_.size() < n) {
+    gamma_.resize(n, 0);
+    parent_edge_.resize(n, -1);
+    settled_.resize(n, 0);
+  }
+  // A min-heap over (gamma, variable), as std::priority_queue with
+  // std::greater keeps it, on storage that outlives the call.
+  const auto later = std::greater<QueueEntry>();
+  heap_.clear();
+  gamma_[v] = slack;
+  parent_edge_[v] = edge_index;
+  touched_.push_back(v);
+  heap_.emplace_back(slack, v);
+
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const auto [g, s] = heap_.back();
+    heap_.pop_back();
+    if (settled_[s] != 0 || g != gamma_[s]) continue;  // stale entry
+    if (gamma_[s] >= 0) break;
     if (s == u) {
       // Negative cycle: the new edge plus the parent-edge path back to it.
       feasible_ = false;
       conflict_tags_.clear();
       std::size_t cursor = u;
       do {
-        const Edge& edge = edges_[static_cast<std::size_t>(parent_edge[cursor])];
+        const Edge& edge =
+            edges_[static_cast<std::size_t>(parent_edge_[cursor])];
         if (std::find(conflict_tags_.begin(), conflict_tags_.end(),
                       edge.tag) == conflict_tags_.end()) {
           conflict_tags_.push_back(edge.tag);
@@ -204,19 +224,21 @@ bool IncrementalDiffEngine::add(const DiffConstraint& constraint) {
       } while (cursor != u);
       return false;
     }
-    settled[s] = 1;
-    potentials_[s] += gamma[s];
-    gamma[s] = 0;
+    settled_[s] = 1;
+    potentials_[s] += gamma_[s];
+    gamma_[s] = 0;
     for (const std::int32_t e : out_[s]) {
       const Edge& edge = edges_[static_cast<std::size_t>(e)];
       const auto t = static_cast<std::size_t>(edge.to);
-      if (settled[t] != 0) continue;
+      if (settled_[t] != 0) continue;
       const std::int64_t candidate =
           potentials_[s] + edge.weight - potentials_[t];
-      if (candidate < gamma[t]) {
-        gamma[t] = candidate;
-        parent_edge[t] = e;
-        queue.emplace(candidate, t);
+      if (candidate < gamma_[t]) {
+        if (parent_edge_[t] == -1) touched_.push_back(t);  // first write
+        gamma_[t] = candidate;
+        parent_edge_[t] = e;
+        heap_.emplace_back(candidate, t);
+        std::push_heap(heap_.begin(), heap_.end(), later);
       }
     }
   }

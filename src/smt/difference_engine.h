@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace fsr::smt {
@@ -133,12 +134,28 @@ class IncrementalDiffEngine {
     std::vector<std::int64_t> conflict_tags;
   };
 
+  using QueueEntry = std::pair<std::int64_t, std::size_t>;
+
+  /// add()'s potential repair from the violated edge u --> v; false when
+  /// it closes a negative cycle (recorded in conflict_tags_).
+  bool repair(std::size_t u, std::size_t v, std::int64_t slack,
+              std::int32_t edge_index);
+
   std::vector<Edge> edges_;
   std::vector<std::vector<std::int32_t>> out_;  // var -> indices into edges_
   std::vector<std::int64_t> potentials_;
   bool feasible_ = true;
   std::vector<std::int64_t> conflict_tags_;
   std::vector<Scope> scopes_;
+
+  // repair()'s scratch, kept across calls so a repairing add allocates
+  // nothing once warm. Between calls every entry is clear (gamma 0,
+  // parent -1, unsettled); `touched_` lists the entries a repair wrote.
+  std::vector<std::int64_t> gamma_;
+  std::vector<std::int32_t> parent_edge_;
+  std::vector<char> settled_;
+  std::vector<std::size_t> touched_;
+  std::vector<QueueEntry> heap_;
 };
 
 }  // namespace fsr::smt

@@ -14,18 +14,41 @@ std::string path_name(const Path& path) {
 }
 
 std::string canonical_spp(const SppInstance& instance) {
-  std::string out = "dest=" + instance.destination() + ";edges=";
+  // Sized first, then appended into one buffer: the text is this
+  // instance's content identity and is built once per compiled request.
+  const std::vector<std::string> nodes = instance.nodes();
+  std::size_t size = 5 + instance.destination().size() + 7 + 7;
+  for (const auto& [u, v] : instance.edges()) size += u.size() + v.size() + 2;
+  for (const std::string& node : nodes) {
+    size += node.size() + 2;
+    for (const Path& path : instance.permitted(node)) {
+      size += path.size();  // '-' separators plus the trailing ','
+      for (const std::string& hop : path) size += hop.size();
+    }
+  }
+  std::string out;
+  out.reserve(size);
+  out += "dest=";
+  out += instance.destination();
+  out += ";edges=";
   for (const auto& [u, v] : instance.edges()) {
-    out += u + "~" + v + ",";
+    out += u;
+    out += '~';
+    out += v;
+    out += ',';
   }
   out += ";paths=";
-  for (const std::string& node : instance.nodes()) {
-    out += node + ":";
+  for (const std::string& node : nodes) {
+    out += node;
+    out += ':';
     for (const Path& path : instance.permitted(node)) {
-      out += path_name(path);
-      out += ",";
+      for (std::size_t i = 0; i < path.size(); ++i) {
+        if (i > 0) out += '-';
+        out += path[i];
+      }
+      out += ',';
     }
-    out += ";";
+    out += ';';
   }
   return out;
 }
@@ -42,30 +65,46 @@ const char* to_string(EnumerationStop stop) noexcept {
   return "state-budget";
 }
 
+namespace {
+
+/// Throws unless `node` is a name the renderings can carry unambiguously:
+/// non-empty and free of path_name's and canonical_spp's separators.
+void check_node_name(const std::string& node) {
+  if (node.empty() || node.find_first_of("-~,:;") != std::string::npos) {
+    throw InvalidArgument("SPP node name '" + node +
+                          "' must be non-empty and free of '-', '~', ',', "
+                          "':' and ';'");
+  }
+}
+
+}  // namespace
+
 SppInstance::SppInstance(std::string name, std::string destination)
     : name_(std::move(name)), destination_(std::move(destination)) {
   if (name_.empty() || destination_.empty()) {
     throw InvalidArgument("SPP instance and destination names are required");
   }
+  check_node_name(destination_);
   node_set_.insert(destination_);
 }
 
 void SppInstance::add_edge(const std::string& u, const std::string& v) {
+  check_node_name(u);
+  check_node_name(v);
   if (u == v) throw InvalidArgument("self-loop edge at '" + u + "'");
   node_set_.insert(u);
   node_set_.insert(v);
-  const auto normalised = u < v ? std::make_pair(u, v) : std::make_pair(v, u);
-  if (edge_set_.insert(normalised).second) {
-    edges_.push_back(normalised);
-  }
+  const std::string& low = u < v ? u : v;
+  const std::string& high = u < v ? v : u;
+  if (edge_set_.emplace(low, high).second) edges_.emplace_back(low, high);
 }
 
 bool SppInstance::has_edge(const std::string& u, const std::string& v) const {
-  const auto key = u < v ? std::make_pair(u, v) : std::make_pair(v, u);
-  return edge_set_.contains(key);
+  using Key = std::pair<std::string_view, std::string_view>;
+  return edge_set_.contains(u < v ? Key(u, v) : Key(v, u));
 }
 
-void SppInstance::add_permitted_path(const Path& path) {
+void SppInstance::add_permitted_path(Path path) {
   if (path.size() < 2) {
     throw InvalidArgument("permitted path must have at least two nodes");
   }
@@ -76,11 +115,13 @@ void SppInstance::add_permitted_path(const Path& path) {
   if (path.front() == destination_) {
     throw InvalidArgument("permitted path may not start at the destination");
   }
-  std::set<std::string> seen;
-  for (const std::string& node : path) {
-    if (!seen.insert(node).second) {
-      throw InvalidArgument("permitted path " + path_name(path) +
-                            " is not simple");
+  // Pairwise: paths are a handful of hops, and a scan allocates nothing.
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (path[i] == path[j]) {
+        throw InvalidArgument("permitted path " + path_name(path) +
+                              " is not simple");
+      }
     }
   }
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
@@ -95,7 +136,7 @@ void SppInstance::add_permitted_path(const Path& path) {
     throw InvalidArgument("permitted path " + path_name(path) +
                           " is listed twice at " + path.front());
   }
-  ranked.push_back(path);
+  ranked.push_back(std::move(path));
 }
 
 std::vector<std::string> SppInstance::nodes() const {

@@ -24,6 +24,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 
@@ -40,12 +42,18 @@ std::string path_name(const Path& path);
 class SppInstance {
  public:
   /// `destination` is created implicitly; nodes are added on first use.
+  /// Throws fsr::InvalidArgument when either name is empty or the
+  /// destination contains one of '-', '~', ',', ':' or ';' — the
+  /// separators path_name and canonical_spp join nodes with, so a name
+  /// carrying one would render ambiguously.
   explicit SppInstance(std::string name, std::string destination = "0");
 
   const std::string& name() const noexcept { return name_; }
   const std::string& destination() const noexcept { return destination_; }
 
-  /// Declares an undirected link.
+  /// Declares an undirected link. Throws fsr::InvalidArgument on a
+  /// self-loop, an empty node name, or one containing a separator (see
+  /// the constructor).
   void add_edge(const std::string& u, const std::string& v);
 
   /// Appends `path` to the permitted list of its source node (ranked:
@@ -54,7 +62,7 @@ class SppInstance {
   /// declared edges, and is not already permitted there (a path's rank is
   /// its identity: spp::PathIndex numbers paths by it). Throws
   /// fsr::InvalidArgument otherwise.
-  void add_permitted_path(const Path& path);
+  void add_permitted_path(Path path);
 
   /// All non-destination nodes, in deterministic (sorted) order.
   std::vector<std::string> nodes() const;
@@ -77,8 +85,20 @@ class SppInstance {
  private:
   std::string name_;
   std::string destination_;
+  /// Orders normalised edges and looks them up by string_view pairs, so
+  /// has_edge copies no strings.
+  struct EdgeLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      return std::pair<std::string_view, std::string_view>(a.first, a.second) <
+             std::pair<std::string_view, std::string_view>(b.first, b.second);
+    }
+  };
+
   std::set<std::string> node_set_;
-  std::set<std::pair<std::string, std::string>> edge_set_;  // normalised
+  std::set<std::pair<std::string, std::string>, EdgeLess>
+      edge_set_;  // normalised
   std::vector<std::pair<std::string, std::string>> edges_;
   std::map<std::string, std::vector<Path>> permitted_;
   static const std::vector<Path> k_no_paths;

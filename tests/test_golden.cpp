@@ -10,7 +10,12 @@
 //     assignment and a digest of the event trace. It also pins the
 //     canonical digest of campaign::spp_from_topology over a depth × seed ×
 //     label-scheme sweep of AS hierarchies. The simulator's and the
-//     extractor's internals may change freely; their output may not.
+//     extractor's internals may change freely; their output may not;
+//   * content identity — api::fingerprint and the spp::canonical_spp length
+//     of every library gadget, seeded random instances, the Rocketfuel
+//     iBGP instances and serve-cold-shaped inline wire lines: the session
+//     cache, the shard router and the campaign cache all key by these, so
+//     a drift in the canonical text or the wire decode fails here.
 //
 // Regenerating after an INTENDED change (review the diff before
 // committing!):
@@ -20,14 +25,20 @@
 // Runs under the `golden` ctest label: `ctest -L golden`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "algebra/standard_policies.h"
+#include "api/request.h"
+#include "api/wire.h"
 #include "campaign/scenario_source.h"
 #include "repair/repair_engine.h"
 #include "sim/simulator.h"
@@ -35,6 +46,7 @@
 #include "spp/random_instance.h"
 #include "topology/as_hierarchy.h"
 #include "topology/rocketfuel.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 #ifndef FSR_GOLDEN_DIR
@@ -232,6 +244,152 @@ TEST(GoldenSim, TopologyExtractionMatchesTheSnapshot) {
     }
   }
   check_snapshot("extraction.golden", out);
+}
+
+// ------------------------------------------------------- content identity --
+
+/// One line per instance: its fingerprint and its canonical text length.
+std::string identity_line(const std::string& id,
+                          std::shared_ptr<const spp::SppInstance> instance) {
+  api::GroundTruthRequest request;
+  request.spp = std::move(instance);
+  const api::CompiledRequest compiled = api::compile(request);
+  EXPECT_EQ(compiled.error(), "") << id;
+  return id + " fp=" + compiled.fingerprint() +
+         " canonical_bytes=" + std::to_string(compiled.canonical().size()) +
+         '\n';
+}
+
+/// Appends every simple path from `prefix` to "0" of at most `max_edges`
+/// edges, depth first in adjacency order, stopping at 64 paths.
+void simple_paths(const std::map<std::string, std::vector<std::string>>& adj,
+                  std::vector<std::string>& prefix, std::size_t max_edges,
+                  std::vector<std::vector<std::string>>& out) {
+  if (out.size() >= 64) return;
+  if (prefix.back() == "0") {
+    out.push_back(prefix);
+    return;
+  }
+  if (prefix.size() > max_edges) return;
+  const auto it = adj.find(prefix.back());
+  if (it == adj.end()) return;
+  for (const std::string& next : it->second) {
+    if (std::find(prefix.begin(), prefix.end(), next) != prefix.end()) continue;
+    prefix.push_back(next);
+    simple_paths(adj, prefix, max_edges, out);
+    prefix.pop_back();
+  }
+}
+
+/// A request line shaped like the serve-cold benchmark's traffic: 8-40
+/// nodes n1..nN, a random tree to destination "0" plus about two extra
+/// edges per node, and up to three shuffled simple paths per node.
+std::string serve_cold_line(util::Rng& rng, const std::string& kind,
+                            const std::string& name) {
+  const auto nodes = static_cast<int>(rng.uniform_int(8, 40));
+  std::vector<std::string> names;
+  for (int i = 1; i <= nodes; ++i) names.push_back("n" + std::to_string(i));
+  std::map<std::string, std::vector<std::string>> adj;
+  std::set<std::pair<std::string, std::string>> seen;
+  std::string edges;
+  const auto connect = [&](const std::string& u, const std::string& v) {
+    if (!seen.insert({std::min(u, v), std::max(u, v)}).second) return;
+    adj[u].push_back(v);
+    adj[v].push_back(u);
+    if (!edges.empty()) edges += ", ";
+    edges += "[" + util::json_quoted(u) + ", " + util::json_quoted(v) + "]";
+  };
+  for (int i = 0; i < nodes; ++i) {
+    const bool to_destination = i == 0 || rng.chance(0.4);
+    connect(names[static_cast<std::size_t>(i)],
+            to_destination ? std::string("0")
+                           : names[static_cast<std::size_t>(
+                                 rng.uniform_int(0, i - 1))]);
+  }
+  for (int i = 0; i < nodes; ++i) {
+    for (int j = i + 1; j < nodes; ++j) {
+      if (rng.chance(2.0 / nodes)) {
+        connect(names[static_cast<std::size_t>(i)],
+                names[static_cast<std::size_t>(j)]);
+      }
+    }
+  }
+  std::string paths;
+  for (const std::string& node : names) {
+    std::vector<std::vector<std::string>> candidates;
+    std::vector<std::string> prefix = {node};
+    simple_paths(adj, prefix, 5, candidates);
+    if (candidates.empty()) {
+      simple_paths(adj, prefix, static_cast<std::size_t>(nodes) + 1,
+                   candidates);
+    }
+    for (std::size_t i = candidates.size(); i > 1; --i) {
+      std::swap(candidates[i - 1],
+                candidates[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    candidates.resize(std::min<std::size_t>(candidates.size(), 3));
+    for (const auto& path : candidates) {
+      if (!paths.empty()) paths += ", ";
+      paths += "[";
+      for (std::size_t h = 0; h < path.size(); ++h) {
+        if (h > 0) paths += ", ";
+        paths += util::json_quoted(path[h]);
+      }
+      paths += "]";
+    }
+  }
+  return "{\"kind\": " + util::json_quoted(kind) +
+         ", \"spp\": {\"name\": " + util::json_quoted(name) +
+         ", \"destination\": \"0\", \"edges\": [" + edges +
+         "], \"paths\": [" + paths + "]}}";
+}
+
+TEST(GoldenIdentity, FingerprintsMatchTheSnapshot) {
+  std::string out;
+  std::vector<std::string> gadgets = {"good", "bad", "disagree",
+                                      "ibgp-figure3", "ibgp-figure3-fixed"};
+  for (const int count : {1, 2, 4, 8, 16, 64}) {
+    gadgets.push_back("good-chain-" + std::to_string(count));
+    gadgets.push_back("bad-chain-" + std::to_string(count));
+  }
+  for (const std::string& gadget : gadgets) {
+    out += identity_line(gadget, std::make_shared<const spp::SppInstance>(
+                                     spp::gadget_by_name(gadget)));
+  }
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    const std::string id = "random-" + std::to_string(seed);
+    out += identity_line(id, std::make_shared<const spp::SppInstance>(
+                                 spp::random_spp_instance(id, seed, {})));
+  }
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const bool embed : {false, true}) {
+      topology::RocketfuelParams params;
+      params.seed = seed;
+      params.embed_gadget = embed;
+      params.paths_per_egress = 4;
+      out += identity_line(
+          "rocketfuel-" + std::to_string(seed) + (embed ? "+gadget" : "") +
+              "-ppe4",
+          std::make_shared<const spp::SppInstance>(
+              topology::build_rocketfuel_ibgp(params).instance));
+    }
+  }
+  // Inline lines go through the wire decode, so the identity pins it too.
+  const std::vector<std::string> kinds = {"analyze-safety", "ground-truth",
+                                          "repair", "simulate", "emulate"};
+  util::Rng rng(12);
+  for (std::size_t i = 0; i < 50; ++i) {
+    const std::string id = "cold-" + std::to_string(i);
+    const std::string line = serve_cold_line(rng, kinds[i % kinds.size()], id);
+    const api::CompiledRequest compiled =
+        api::compile(api::wire::parse_request(line));
+    EXPECT_EQ(compiled.error(), "") << id;
+    out += id + " line_bytes=" + std::to_string(line.size()) +
+           " fp=" + compiled.fingerprint() + " canonical_bytes=" +
+           std::to_string(compiled.canonical().size()) + '\n';
+  }
+  check_snapshot("identity.golden", out);
 }
 
 }  // namespace

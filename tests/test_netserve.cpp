@@ -250,6 +250,21 @@ TEST(Connection, MalformedClientIdIsAnsweredInBandNotDropped) {
   EXPECT_NE(lines[1].find("line 2: "), std::string::npos);
 }
 
+TEST(Connection, EachAcceptedLineIsParsedOnce) {
+  // The client id, the request decode and the kind attribution all read
+  // one tree: N id-carrying lines cost N JSON parses, not 2N.
+  obs::Counter& parses = obs::registry().counter("api.json.parses");
+  ConnHarness h;
+  const std::uint64_t before = parses.value();
+  constexpr std::uint64_t k_lines = 5;
+  for (std::uint64_t i = 0; i < k_lines; ++i) {
+    h.conn.feed("{\"kind\": \"analyze-safety\", \"gadget\": \"good\", "
+                "\"id\": " + std::to_string(i) + "}\n");
+  }
+  EXPECT_EQ(h.submitted.size(), k_lines);
+  EXPECT_EQ(parses.value() - before, k_lines);
+}
+
 TEST(Connection, OversizedLineGetsAnErrorAndTheConnectionKeepsWorking) {
   ConnectionLimits limits;
   limits.max_line_bytes = 32;

@@ -270,6 +270,17 @@ TEST(Wire, SchemaViolationsThrow) {
                    R"([["a", "0"], ["b", "0"]], "paths": )"
                    R"([["a", "0"], ["a", "0"], ["b", "0"]]}})"),
                InvalidArgument);
+  // Node names may not be empty or carry a rendering separator: "" once
+  // answered simulate with "b": "b--0", and "a-b" renders like a path.
+  EXPECT_THROW(wire::parse_request(
+                   R"({"kind": "simulate", "spp": {"edges": )"
+                   R"([["", "0"], ["b", ""]], "paths": )"
+                   R"([["", "0"], ["b", "", "0"]]}})"),
+               InvalidArgument);
+  EXPECT_THROW(wire::parse_request(
+                   R"({"kind": "analyze-safety", "spp": {"edges": )"
+                   R"([["a-b", "0"]], "paths": [["a-b", "0"]]}})"),
+               InvalidArgument);
   // Random sizes must fit the sweep's int32 fields, not wrap (4294967300
   // once became a 4-node instance).
   EXPECT_THROW(wire::parse_request(

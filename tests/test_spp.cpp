@@ -70,6 +70,33 @@ TEST(SppInstance, RejectsSelfLoop) {
   EXPECT_THROW(instance.add_edge("1", "1"), InvalidArgument);
 }
 
+TEST(SppInstance, RejectsNodeNamesThatBreakTheRenderings) {
+  // path_name joins hops with '-' and canonical_spp separates with '~',
+  // ',', ':' and ';': a name carrying one (or an empty one, which made
+  // simulate answer "b--0") would render ambiguously.
+  for (const std::string bad : {"", "a-b", "a~b", "a,b", "a:b", "a;b"}) {
+    SCOPED_TRACE(bad);
+    SppInstance instance("t");
+    EXPECT_THROW(instance.add_edge(bad, "0"), InvalidArgument);
+    EXPECT_THROW(instance.add_edge("b", bad), InvalidArgument);
+    EXPECT_THROW(SppInstance("t", bad), InvalidArgument);
+    EXPECT_TRUE(instance.edges().empty());
+  }
+  try {
+    SppInstance("t").add_edge("a-b", "0");
+    ADD_FAILURE() << "a separator in a node name was accepted";
+  } catch (const InvalidArgument& error) {
+    EXPECT_STREQ(error.what(),
+                 "SPP node name 'a-b' must be non-empty and free of '-', "
+                 "'~', ',', ':' and ';'");
+  }
+  // The in-repo generators' spellings stay valid.
+  SppInstance instance("t", "d0");
+  for (const char* name : {"n1", "r1_2", "as3_4", "c5"}) {
+    EXPECT_NO_THROW(instance.add_edge(name, "d0"));
+  }
+}
+
 TEST(SppInstance, NodesExcludeDestination) {
   const SppInstance g = disagree_gadget();
   const auto nodes = g.nodes();
